@@ -52,7 +52,7 @@ use std::sync::Mutex;
 pub struct CellShard {
     /// The grid's base seed; every instance/cell seed derives from it.
     pub base_seed: u64,
-    /// The [`crate::cache::CODE_VERSION`] of the dispatching engine.
+    /// The [`crate::CODE_VERSION`] of the dispatching engine.
     pub code_version: String,
     /// The cells to execute, already cost-ordered by the scheduler.
     pub cells: Vec<Scenario>,
@@ -61,7 +61,7 @@ pub struct CellShard {
 impl CellShard {
     /// A shard of `cells` under this engine's own code version.
     pub fn new(base_seed: u64, cells: Vec<Scenario>) -> Self {
-        CellShard { base_seed, code_version: crate::cache::CODE_VERSION.to_string(), cells }
+        CellShard { base_seed, code_version: crate::CODE_VERSION.to_string(), cells }
     }
 
     /// Splits the shard into `count` stripes by round-robining *graph instances* (in

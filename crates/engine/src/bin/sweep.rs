@@ -27,21 +27,20 @@
 //! * `--faults`    deterministic fault-injection script (also read from `LOCAL_FAULTS`).
 //! * `--out`       write the JSON report here; `--csv` additionally writes per-cell CSV.
 //! * `--dry-run`   print the cost model's predicted per-cell micros and the LPT execution
-//!   order (calibrated from the cache when one is attached) without running anything.
+//!   order (calibrated from the result store when one is attached) without running anything.
 //! * `--deterministic`  zero every wall-clock field in the outputs, so reports produced by
 //!   different backends or parallelism levels compare byte-for-byte.
 //! * `--profile`   emit per-phase timings (attempt / pruning / instance generation) as extra
 //!   CSV columns and a printed summary; the JSON report always carries them per cell.
 //! * `--folded F`  write the sweep's phase times as folded stacks (flamegraph format) to `F`.
-//! * `--cache-dir D`  incremental result cache location (default `target/sweep-cache`); a
-//!   re-sweep executes only cells whose inputs changed. `--no-cache` disables it.
-//! * `--store D`   segmented binary result store replacing the JSON cache at scale: CRC-
-//!   checked append-only segment files instead of one JSON file per cell, behind the same
-//!   incremental-re-sweep semantics. `sweep store import CACHE_DIR --store D` migrates a
-//!   cache; `sweep store bench` measures both on a synthetic grid.
+//! * `--store D`   the incremental result store's directory (default `target/sweep-store`):
+//!   CRC-checked append-only segment files; a re-sweep executes only cells whose inputs
+//!   changed. `--no-cache` disables it; of the two flags, the last one given wins. `sweep
+//!   store import CACHE_DIR --store D` migrates a legacy JSON cache; `sweep store bench`
+//!   measures the store on a synthetic grid.
 //! * `--stream`    stream cells to the result store instead of holding them in memory
-//!   (large grids); per-cell CSV is then produced by reading the store back. Requires a
-//!   cache or store.
+//!   (large grids); per-cell CSV is then produced by reading the store back. Requires the
+//!   store.
 //! * `--trace F`   enable the observability layer and write a Chrome trace-event JSON of
 //!   the sweep (phase spans, counters, one track per thread/worker) to `F` — loadable in
 //!   Perfetto or `chrome://tracing`.
@@ -62,7 +61,7 @@ use local_engine::backend::{
 };
 use local_engine::{
     default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
-    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, SweepCache, WorkloadSpec,
+    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, WorkloadSpec,
     CODE_VERSION,
 };
 use local_graphs::{builtin_families, parse_family, FamilySpec};
@@ -99,10 +98,7 @@ struct Args {
     deterministic: bool,
     profile: bool,
     folded: Option<String>,
-    cache_dir: Option<String>,
-    /// `--cache-dir` was given explicitly (as opposed to the default location), which
-    /// conflicts with `--store`.
-    cache_dir_explicit: bool,
+    /// The result store's directory; `None` under `--no-cache`.
     store_dir: Option<String>,
     stream: bool,
     trace: Option<String>,
@@ -139,9 +135,7 @@ fn parse_args() -> Result<Args, String> {
         deterministic: false,
         profile: false,
         folded: None,
-        cache_dir: Some("target/sweep-cache".to_string()),
-        cache_dir_explicit: false,
-        store_dir: None,
+        store_dir: Some("target/sweep-store".to_string()),
         stream: false,
         trace: None,
         trace_events: None,
@@ -233,11 +227,7 @@ fn parse_args() -> Result<Args, String> {
             "--deterministic" => args.deterministic = true,
             "--profile" => args.profile = true,
             "--folded" => args.folded = Some(value("--folded")?),
-            "--cache-dir" => {
-                args.cache_dir = Some(value("--cache-dir")?);
-                args.cache_dir_explicit = true;
-            }
-            "--no-cache" => args.cache_dir = None,
+            "--no-cache" => args.store_dir = None,
             "--store" => args.store_dir = Some(value("--store")?),
             "--stream" => args.stream = true,
             "--trace" => args.trace = Some(value("--trace")?),
@@ -250,14 +240,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag: {other} (try --help)")),
         }
     }
-    if args.store_dir.is_some() && args.cache_dir_explicit {
-        return Err("--store and --cache-dir are two locations for the same results: pick \
-                    one (the binary store supersedes the JSON cache; `sweep store import` \
-                    migrates an existing cache)"
-            .to_string());
-    }
-    if args.stream && args.cache_dir.is_none() && args.store_dir.is_none() {
-        return Err("--stream needs a result store (drop --no-cache or add --store DIR): \
+    if args.stream && args.store_dir.is_none() {
+        return Err("--stream needs the result store (drop --no-cache or add --store DIR): \
                     streamed cells live on disk, not in memory"
             .to_string());
     }
@@ -284,7 +268,7 @@ USAGE:
         [--io-deadline-ms MS] [--faults SCRIPT]
         [--base-seed S] [--out report.json] [--csv cells.csv] [--list] [--dry-run]
         [--deterministic] [--profile] [--folded stacks.folded]
-        [--cache-dir DIR | --no-cache | --store DIR] [--stream]
+        [--store DIR | --no-cache] [--stream]
         [--trace trace.json] [--trace-events events.ndjson] [--progress]
   sweep --serve ADDR [--threads N] [--max-concurrent-shards N]
                                             run a persistent worker daemon
@@ -294,7 +278,7 @@ USAGE:
   sweep store import CACHE_DIR --store DIR [--base-seed S]
                                             migrate a JSON cache into the binary store
   sweep store bench [--cells N] [--dir DIR] [--json PATH]
-                                            benchmark the store against the JSON cache
+                                            benchmark the store on a synthetic grid
 
   --list       print every registered workload, family, and execution backend (with the
                flags that configure it) straight from the registries, then exit.
@@ -345,15 +329,14 @@ USAGE:
   --profile    emit per-phase wall-time columns (attempt / pruning / instance generation)
                in the CSV output and print a phase-time summary.
   --folded F   write phase times as folded stacks (flamegraph.pl / inferno format) to F.
-  --cache-dir  incremental result cache (default target/sweep-cache): a re-sweep executes
-               only changed cells and serves the rest from disk, byte-identically.
-  --no-cache   disable the cache.
-  --store      segmented binary result store in DIR, replacing the JSON cache for
-               million-cell sweeps: append-only CRC-checked segment files with an index
-               rebuilt by one sequential scan on open, torn tails truncated on recovery.
-               Same identity keys and incremental semantics as the cache, byte-identical
-               reports. On a coordinator, a shared store serves repeat submissions and
-               accumulates every client's fresh results. Conflicts with --cache-dir.
+  --store      incremental result store in DIR (default target/sweep-store): a re-sweep
+               executes only changed cells and serves the rest from disk, byte-identically.
+               Append-only CRC-checked segment files with an index rebuilt by one
+               sequential scan on open, torn tails truncated on recovery. One sweep holds
+               a store at a time; a concurrent sweep needs its own DIR or --no-cache. On a
+               coordinator, a shared store serves repeat submissions and accumulates every
+               client's fresh results.
+  --no-cache   run without a result store. Of --store and --no-cache, the last one wins.
   --stream     fold cells into summaries as they complete and keep them only in the
                result store (flat memory for very large grids). With --store the re-sweep
                summary path is fully columnar: no CellResult rows are materialized for
@@ -589,15 +572,12 @@ fn synthetic_result(cell: &Scenario, seed: u64) -> CellResult {
 }
 
 /// `sweep store bench [--cells N] [--dir DIR] [--json PATH]`: measures binary-store
-/// append / reopen / columnar-scan / row-scan throughput against the JSON cache on the
-/// same synthetic grid, and optionally writes the numbers as a JSON benchmark artifact.
+/// append / reopen / columnar-scan / row-scan throughput on a synthetic grid, and
+/// optionally writes the numbers as a JSON benchmark artifact.
 fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String> {
     use std::time::Instant;
-    let base = std::path::PathBuf::from(dir);
-    let store_dir = base.join("bench-store");
-    let cache_dir = base.join("bench-cache");
+    let store_dir = std::path::Path::new(dir).join("bench-store");
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&cache_dir);
     // One synthetic grid: replicate is the only varying axis, so cell identities (and
     // store keys) are unique while staying cheap to generate at 10^5+ scale.
     let scenarios: Vec<Scenario> = (0..cells)
@@ -622,20 +602,6 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
         );
         Ok(secs)
     };
-
-    let cache = SweepCache::new(&cache_dir);
-    let json_write = timed("json-cache write", &mut || {
-        for (cell, result) in scenarios.iter().zip(&results) {
-            cache.store(cell, 0, result).map_err(|e| format!("cache write failed: {e}"))?;
-        }
-        Ok(())
-    })?;
-    let json_read = timed("json-cache row scan", &mut || {
-        for cell in &scenarios {
-            cache.load(cell, 0).ok_or("cache read missed a written cell")?;
-        }
-        Ok(())
-    })?;
 
     let store =
         BinaryStore::open(&store_dir).map_err(|e| format!("cannot open bench store: {e}"))?;
@@ -669,12 +635,8 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
         Ok(())
     })?;
 
-    // The headline ratio: one write-everything-then-summarize pass, JSON cache over
-    // binary store (columnar readback) — >1 means the store is faster end to end.
-    let ratio = (json_write + json_read) / (bin_append + bin_open + bin_columns);
     println!(
-        "store bench: {cells} cells in {segments} segments; index rebuild {} us; \
-         json-cache/store wall ratio {ratio:.2}x",
+        "store bench: {cells} cells in {segments} segments; index rebuild {} us",
         store.stats().index_rebuild_micros
     );
     if let Some(path) = json {
@@ -682,26 +644,20 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
             "{{\n  \"cells\": {cells},\n  \"segments\": {segments},\n  \
              \"store_append_cells_per_s\": {:.0},\n  \"store_reopen_s\": {bin_open:.6},\n  \
              \"store_columnar_scan_cells_per_s\": {:.0},\n  \
-             \"store_row_scan_cells_per_s\": {:.0},\n  \
-             \"json_cache_write_cells_per_s\": {:.0},\n  \
-             \"json_cache_row_scan_cells_per_s\": {:.0},\n  \
-             \"json_cache_over_store_wall_ratio\": {ratio:.3}\n}}\n",
+             \"store_row_scan_cells_per_s\": {:.0}\n}}\n",
             cells as f64 / bin_append,
             cells as f64 / bin_columns,
             cells as f64 / bin_rows,
-            cells as f64 / json_write,
-            cells as f64 / json_read,
         );
         std::fs::write(path, artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote benchmark JSON to {path}");
     }
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&cache_dir);
     Ok(())
 }
 
-/// The `sweep store …` subcommand family: `import` migrates a JSON cache into the binary
-/// store, `bench` measures the store against the JSON cache on a synthetic grid.
+/// The `sweep store …` subcommand family: `import` migrates a legacy JSON cache into the
+/// binary store, `bench` measures the store on a synthetic grid.
 fn store_main(raw: &[String]) -> ExitCode {
     let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
     let outcome = match raw.first().map(String::as_str) {
@@ -759,7 +715,7 @@ fn store_main(raw: &[String]) -> ExitCode {
 /// `--dry-run`: predict, order, print — execute nothing. The printed plan mirrors a real
 /// sweep exactly: stored cells are served from disk (and calibrate the model), so only the
 /// *missed* cells appear in the LPT execution order.
-fn dry_run(grid: &ScenarioGrid, store: Option<&dyn ResultStore>) -> ExitCode {
+fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
     let cells = grid.cells();
     let mut model = CostModel::new();
     let mut missed = Vec::new();
@@ -885,25 +841,21 @@ fn main() -> ExitCode {
         .sizes(args.sizes)
         .replicates(args.seeds)
         .base_seed(args.base_seed);
-    // One result store behind the trait: the segmented binary store when --store is
-    // given, the legacy one-file-per-cell JSON cache otherwise. The concrete binary
-    // handle is kept alongside for its stats counters (summary line, --progress HUD).
-    let binary: Option<Arc<BinaryStore>> = match &args.store_dir {
+    let store: Option<Arc<BinaryStore>> = match &args.store_dir {
         Some(dir) => match BinaryStore::open(dir) {
             Ok(store) => Some(Arc::new(store)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                eprintln!(
+                    "sweep: {e}; give this sweep its own --store DIR, or run it with --no-cache"
+                );
+                return ExitCode::FAILURE;
+            }
             Err(e) => {
                 eprintln!("sweep: cannot open --store {dir}: {e}");
                 return ExitCode::FAILURE;
             }
         },
         None => None,
-    };
-    let store: Option<Arc<dyn ResultStore>> = match &binary {
-        Some(binary) => Some(Arc::clone(binary) as Arc<dyn ResultStore>),
-        None => args
-            .cache_dir
-            .as_ref()
-            .map(|dir| Arc::new(SweepCache::new(dir)) as Arc<dyn ResultStore>),
     };
 
     if args.dry_run {
@@ -946,8 +898,8 @@ fn main() -> ExitCode {
     );
 
     let meter = args.progress.then(ProgressMeter::new);
-    if let (Some(meter), Some(binary)) = (&meter, &binary) {
-        let handle = Arc::clone(binary);
+    if let (Some(meter), Some(store)) = (&meter, &store) {
+        let handle = Arc::clone(store);
         meter.set_store_status(Arc::new(move || {
             let stats = handle.stats();
             format!(
@@ -1016,7 +968,7 @@ fn main() -> ExitCode {
 
     println!("{}", report.render_summaries());
     if args.profile {
-        // In streaming mode the report holds no cells; read them back from the cache one at
+        // In streaming mode the report holds no cells; read them back from the store one at
         // a time (they were just written) so the phase summary is printed either way.
         let mut attempt = 0u64;
         let mut prune = 0u64;
@@ -1055,10 +1007,10 @@ fn main() -> ExitCode {
         report.total_wall_micros as f64 / 1000.0,
         invalid
     );
-    if let Some(binary) = &binary {
+    if let Some(store) = &store {
         // The store's on-disk shape and this run's traffic. A fully-columnar streamed
         // re-sweep prints `rows materialized 0` — soak scripts assert on it.
-        let stats = binary.stats();
+        let stats = store.stats();
         println!(
             "store: {} segments, {} records ({} appended, {} bytes written), index rebuild \
              {} us, {} hits, {} misses, rows materialized {}",
@@ -1067,9 +1019,9 @@ fn main() -> ExitCode {
             stats.records_appended,
             stats.bytes_appended,
             stats.index_rebuild_micros,
-            binary.hits(),
-            binary.misses(),
-            binary.rows_materialized()
+            store.hits(),
+            store.misses(),
+            store.rows_materialized()
         );
     }
     if args.backend == BackendKind::Network
@@ -1201,7 +1153,7 @@ fn write_trace_outputs(
 /// them) and renders CSV rows in canonical order, never holding more than one cell.
 fn streamed_csv(
     grid: &ScenarioGrid,
-    store: &dyn ResultStore,
+    store: &BinaryStore,
     profile: bool,
     deterministic: bool,
 ) -> Result<String, String> {
@@ -1221,7 +1173,7 @@ fn streamed_csv(
 }
 
 /// Folded stacks for a streamed sweep, reading cells back from the store one at a time.
-fn streamed_folded(grid: &ScenarioGrid, store: &dyn ResultStore) -> Result<String, String> {
+fn streamed_folded(grid: &ScenarioGrid, store: &BinaryStore) -> Result<String, String> {
     let mut missing = None;
     let folded = local_engine::report::folded_stacks(grid.cells().into_iter().filter_map(|cell| {
         let loaded = store.load(&cell, grid.base_seed);

@@ -24,10 +24,10 @@
 //!   [`local_graphs::InstanceKey`], and the [`ProcessBackend`] that fans serialized
 //!   [`CellShard`]s out to `sweep --worker` subprocesses and merges their result streams
 //!   (re-running in-process whatever a failed worker leaves behind).
-//! * [`store`] — persistence behind the [`ResultStore`] trait: the JSON-file
-//!   [`SweepCache`] and the [`BinaryStore`] (the `local-store` append-only segmented
-//!   store) both serve and absorb cells for every backend; the binary store also answers
-//!   columnar probes so streamed summaries fold without materializing rows.
+//! * [`store`] — persistence behind the [`ResultStore`] trait: the [`BinaryStore`] (the
+//!   `local-store` append-only segmented store) serves and absorbs cells for every
+//!   backend, and answers columnar probes so streamed summaries fold without
+//!   materializing rows.
 //! * [`report`] — aggregation: per-cell [`CellResult`]s folded into per-group
 //!   [`GroupSummary`]s (mean/p50/p99 rounds, uniform-over-non-uniform overhead ratios),
 //!   serialized to JSON or CSV.
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cache;
 pub mod cost;
 pub mod pool;
 pub mod progress;
@@ -67,11 +66,14 @@ pub mod scheduler;
 pub mod store;
 pub mod workloads;
 
+#[cfg(test)]
+#[path = "cache_tests.rs"]
+mod cache;
+
 pub use backend::{
     CellShard, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, ExecBackend,
     FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
 };
-pub use cache::{SweepCache, CODE_VERSION};
 pub use cost::CostModel;
 pub use progress::ProgressMeter;
 pub use registry::{
@@ -84,3 +86,13 @@ pub use scenario::{parse_sizes, Scenario, ScenarioGrid};
 pub use scheduler::{run_cell, run_cell_in, run_grid, Instance, Sweep, SweepConfig};
 pub use store::{report_from_store, BinaryStore, ResultStore};
 pub use workloads::{MeasuredRun, Workload, WorkloadSpec};
+
+/// The result-retiring code-version tag: the crate version plus a revision counter bumped
+/// whenever an algorithm/report change makes old results non-reproducible.
+///
+/// It opens every [`BinaryStore`] record key, so a bump retires every stored cell at once
+/// (stale records stay on disk and are never read again). The same tag travels in every
+/// [`CellShard`] of the multi-process protocol — a `sweep --worker` built from different
+/// code refuses the shard outright, because results across a version boundary are not
+/// comparable.
+pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r1");

@@ -1,20 +1,22 @@
-//! The result-store abstraction: one trait over both persistence backends — the legacy
-//! one-JSON-file-per-cell [`SweepCache`] and the segmented binary [`BinaryStore`] built on
-//! `local-store` — plus the columnar report path that summarizes a stored grid without
-//! materializing a single [`CellResult`] row.
+//! The result-store abstraction: the [`ResultStore`] trait, the segmented binary
+//! [`BinaryStore`] built on `local-store` behind it, and the columnar report path that
+//! summarizes a stored grid without materializing a single [`CellResult`] row.
 //!
-//! Identity is shared with the JSON cache bit-for-bit: a record is keyed by the same
-//! `code_version | problem | family | instance n | instance seed | cell n | replicate |
-//! cell seed` string [`SweepCache::key`] hashes — except the binary store keeps the whole
-//! string as the record key, so reads compare full identities and a hash collision can
-//! never serve a foreign cell. Values are a fixed little-endian encoding of the result
-//! (strings length-prefixed up front, then fifteen `u64` columns at fixed offsets, then a
-//! flags byte), which is what lets [`decode_cell_columns`] pull the summary columns
-//! straight off their offsets.
+//! A record is keyed by the cell's complete identity, `code_version | problem | family |
+//! instance n | instance seed | cell n | replicate | cell seed`, kept whole as the record
+//! key: reads compare full identities, so a hash collision can never serve a foreign
+//! cell. Per-cell seeds are pure functions of the cell identity, so a stored result is
+//! byte-identical to what re-executing the cell would produce. Invalidation is by key,
+//! never by mutation: a new base seed changes every key, a changed axis changes its cells'
+//! keys only, and a [`CODE_VERSION`] bump retires the whole store at once.
+//!
+//! Values are a fixed little-endian encoding of the result (strings length-prefixed up
+//! front, then fifteen `u64` columns at fixed offsets, then a flags byte), which is what
+//! lets [`decode_cell_columns`] pull the summary columns straight off their offsets.
 
-use crate::cache::{SweepCache, CODE_VERSION};
 use crate::report::{CellColumns, CellResult, Report, SummaryAccumulator};
 use crate::scenario::{Scenario, ScenarioGrid};
+use crate::CODE_VERSION;
 use local_obs as obs;
 use local_store::{SegmentStore, StoreConfig, StoreStats};
 use std::path::{Path, PathBuf};
@@ -29,32 +31,15 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Loads the stored result of `cell`, if present under the current code version.
     fn load(&self, cell: &Scenario, base_seed: u64) -> Option<CellResult>;
 
-    /// Loads only the summary columns of `cell` — the columnar fast path. The default
-    /// delegates to [`ResultStore::load`]; the binary store overrides it to decode fixed
-    /// offsets without building a [`CellResult`].
-    fn load_columns(&self, cell: &Scenario, base_seed: u64) -> Option<CellColumns> {
-        self.load(cell, base_seed).map(|result| CellColumns::from(&result))
-    }
+    /// Loads only the summary columns of `cell` — the columnar fast path, which decodes
+    /// fixed offsets without building a [`CellResult`].
+    fn load_columns(&self, cell: &Scenario, base_seed: u64) -> Option<CellColumns>;
 
     /// Persists `result` as the outcome of `cell`.
     fn store(&self, cell: &Scenario, base_seed: u64, result: &CellResult) -> std::io::Result<()>;
 
-    /// A short human-readable description for summary lines (`json-cache:DIR`, `store:DIR`).
+    /// A short human-readable description for summary and error lines (`store:DIR`).
     fn describe(&self) -> String;
-}
-
-impl ResultStore for SweepCache {
-    fn load(&self, cell: &Scenario, base_seed: u64) -> Option<CellResult> {
-        SweepCache::load(self, cell, base_seed)
-    }
-
-    fn store(&self, cell: &Scenario, base_seed: u64, result: &CellResult) -> std::io::Result<()> {
-        SweepCache::store(self, cell, base_seed, result)
-    }
-
-    fn describe(&self) -> String {
-        format!("json-cache:{}", self.dir().display())
-    }
 }
 
 // ------------------------------------------------------------------ binary result codec ----
@@ -186,7 +171,10 @@ pub fn decode_cell_columns(bytes: &[u8]) -> Option<CellColumns> {
 // ------------------------------------------------------------------ the binary store -------
 
 /// The segmented binary result store: [`CellResult`]s encoded into `local-store` records,
-/// keyed by the full cell-identity string (shared with [`SweepCache::key`]'s preimage).
+/// keyed by the full cell-identity string.
+///
+/// One handle owns its directory: a second open while it is alive fails with
+/// [`std::io::ErrorKind::WouldBlock`] (see [`SegmentStore::open_with`]).
 #[derive(Debug)]
 pub struct BinaryStore {
     inner: SegmentStore,
@@ -247,8 +235,8 @@ impl BinaryStore {
         self.rows_materialized.load(Ordering::Relaxed)
     }
 
-    /// The record key of one cell: the same identity string [`SweepCache::key`] hashes,
-    /// kept whole so reads compare every field.
+    /// The record key of one cell: its full identity string, kept whole so reads compare
+    /// every field.
     fn key(&self, cell: &Scenario, base_seed: u64) -> Vec<u8> {
         let instance = cell.instance_key(base_seed);
         format!(
@@ -345,16 +333,16 @@ pub fn report_from_store(grid: &ScenarioGrid, store: &dyn ResultStore) -> Result
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::registry::workload;
     use local_graphs::{Family, FamilySpec};
 
-    fn sample_cell() -> Scenario {
+    pub(crate) fn sample_cell() -> Scenario {
         Scenario { problem: workload("mis"), family: Family::SparseGnp.into(), n: 48, replicate: 0 }
     }
 
-    fn sample_result() -> CellResult {
+    pub(crate) fn sample_result() -> CellResult {
         CellResult {
             problem: "mis".into(),
             family: "sparse-gnp".into(),
@@ -378,7 +366,7 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("binary-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -421,8 +409,10 @@ mod tests {
             assert_eq!(ResultStore::load(&store, &cell, 1), Some(sample_result()));
             assert!(ResultStore::load(&store, &cell, 2).is_none(), "base seeds must separate");
         }
-        let bumped = BinaryStore::with_code_version(&dir, "v2").unwrap();
-        assert!(ResultStore::load(&bumped, &cell, 1).is_none(), "version bump must miss");
+        {
+            let bumped = BinaryStore::with_code_version(&dir, "v2").unwrap();
+            assert!(ResultStore::load(&bumped, &cell, 1).is_none(), "version bump must miss");
+        }
         let same = BinaryStore::with_code_version(&dir, "v1").unwrap();
         assert_eq!(ResultStore::load(&same, &cell, 1), Some(sample_result()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -442,19 +432,6 @@ mod tests {
         assert_eq!(store.rows_materialized(), 0, "columnar loads must not build rows");
         assert_eq!(ResultStore::load(&store, &cell, 1), Some(sample_result()));
         assert_eq!(store.rows_materialized(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_trait_serves_the_json_cache_too() {
-        let dir = temp_dir("json-trait");
-        let cache = SweepCache::new(&dir);
-        let store: &dyn ResultStore = &cache;
-        let cell = sample_cell();
-        store.store(&cell, 1, &sample_result()).unwrap();
-        assert_eq!(store.load(&cell, 1), Some(sample_result()));
-        assert_eq!(store.load_columns(&cell, 1), Some(CellColumns::from(&sample_result())));
-        assert!(store.describe().starts_with("json-cache:"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

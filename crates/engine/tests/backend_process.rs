@@ -5,14 +5,17 @@
 //! * a 2-worker process sweep is byte-identical to a single-threaded in-process sweep;
 //! * worker failures of every flavour (dead on arrival, killed, garbage stdout, truncated
 //!   stream) degrade to in-process re-execution with a byte-identical report;
-//! * the cache, streaming mode, and cost calibration all compose with the process backend.
+//! * the result store, streaming mode, and cost calibration all compose with the process
+//!   backend.
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    run_grid, workload, CellResult, Report, ScenarioGrid, Sweep, SweepCache, SweepConfig,
+    run_grid, workload, BinaryStore, CellResult, Report, ResultStore, ScenarioGrid, Sweep,
+    SweepConfig,
 };
 use local_graphs::{family, Family};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn worker_bin() -> String {
     env!("CARGO_BIN_EXE_sweep").to_string()
@@ -155,12 +158,13 @@ fn cache_composes_with_the_process_backend() {
     let dir = temp_dir("cache");
     let grid = demo_grid();
     let backend = || ProcessBackend::with_command(2, vec![worker_bin()]);
-    let first = Sweep::over(&grid).backend(backend()).cache(SweepCache::new(&dir)).run();
-    assert_eq!(first.cache_hits, 0, "a cold cache must not hit");
+    let open = || Arc::new(BinaryStore::open(&dir).expect("store opens")) as Arc<dyn ResultStore>;
+    let first = Sweep::over(&grid).backend(backend()).store(open()).run();
+    assert_eq!(first.cache_hits, 0, "a cold store must not hit");
 
-    // The re-sweep serves every worker-produced result from disk, byte-identically —
-    // whether it re-runs in-process or over processes again.
-    let resweep = run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&dir)));
+    // A second process sweep on a reopened store serves every worker-produced result from
+    // disk, byte-identically.
+    let resweep = Sweep::over(&grid).backend(backend()).store(open()).run();
     assert_eq!(resweep.cache_hits, resweep.cell_count, "a re-sweep must be 100% cache hits");
     assert_eq!(first.to_csv_with(true), resweep.to_csv_with(true));
     let _ = std::fs::remove_dir_all(&dir);
@@ -171,9 +175,10 @@ fn streaming_composes_with_the_process_backend() {
     let dir = temp_dir("stream");
     let grid = demo_grid();
     let collected = run_grid(&grid, &SweepConfig::with_threads(1));
+    let store = Arc::new(BinaryStore::open(&dir).expect("store opens"));
     let streamed = Sweep::over(&grid)
         .backend(ProcessBackend::with_command(2, vec![worker_bin()]))
-        .cache(SweepCache::new(&dir))
+        .store(Arc::clone(&store) as Arc<dyn ResultStore>)
         .streaming()
         .run();
     assert!(streamed.cells.is_empty(), "streaming mode must not hold cells in memory");
@@ -183,12 +188,11 @@ fn streaming_composes_with_the_process_backend() {
         s.total_wall_micros = c.total_wall_micros;
         assert_eq!(&s, c, "streamed summary diverges for {}/{}", c.problem, c.family);
     }
-    // Every worker-produced cell is recoverable from the cache at its canonical position.
-    let cache = SweepCache::new(&dir);
+    // Every worker-produced cell is recoverable from the store at its canonical position.
     let reloaded: Vec<CellResult> = grid
         .cells()
         .into_iter()
-        .map(|cell| cache.load(&cell, grid.base_seed).expect("streamed cell must be cached"))
+        .map(|cell| store.load(&cell, grid.base_seed).expect("streamed cell must be stored"))
         .collect();
     for (a, b) in collected.cells.iter().zip(&reloaded) {
         assert_eq!(a.deterministic_view(), b.deterministic_view());

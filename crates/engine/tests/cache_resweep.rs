@@ -1,10 +1,16 @@
-//! Incremental re-sweeps: a second identical `run_grid` serves every cell from the sweep
-//! cache and produces a byte-identical merged report; a code-version bump retires the
-//! cache; streaming mode folds the same summaries without holding cells in memory.
+//! Incremental re-sweeps with the result store as the sweep's cache: a second identical
+//! `run_grid` on a freshly opened store serves every cell from disk and produces a
+//! byte-identical merged report; a grid with a new axis value executes only its new
+//! cells; a code-version bump retires the cache; streaming mode folds the same summaries
+//! without holding cells in memory; and cost-ordered execution is independent of the
+//! thread count.
 
-use local_engine::{folded_stacks, run_grid, workload, ScenarioGrid, SweepCache, SweepConfig};
+use local_engine::{
+    folded_stacks, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid, SweepConfig,
+};
 use local_graphs::{family, Family};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sweep-resweep-test-{}-{tag}", std::process::id()));
@@ -21,17 +27,21 @@ fn small_grid() -> ScenarioGrid {
         .base_seed(5)
 }
 
+fn open_store(dir: &Path) -> Arc<BinaryStore> {
+    Arc::new(BinaryStore::open(dir).expect("store opens"))
+}
+
 #[test]
 fn second_sweep_is_all_hits_and_byte_identical() {
     let dir = temp_dir("identical");
     let grid = small_grid();
-    let cfg = SweepConfig::with_threads(2).with_cache(SweepCache::new(&dir));
 
-    let first = run_grid(&grid, &cfg);
+    // Each sweep opens the store itself, as two `sweep` invocations do.
+    let first = run_grid(&grid, &SweepConfig::with_threads(2).with_store(open_store(&dir)));
     assert_eq!(first.cache_hits, 0, "a cold cache must not hit");
     assert!(first.cells.iter().all(|c| c.valid && c.solved));
 
-    let second = run_grid(&grid, &cfg);
+    let second = run_grid(&grid, &SweepConfig::with_threads(2).with_store(open_store(&dir)));
     assert_eq!(second.cache_hits, second.cell_count, "a re-sweep must be 100% cache hits");
     assert_eq!(second.distinct_instances, 0, "hits must not regenerate instances");
     // The merged report is byte-identical: cached cells carry their original measurements.
@@ -45,7 +55,7 @@ fn second_sweep_is_all_hits_and_byte_identical() {
 fn changed_axes_execute_only_the_new_cells() {
     let dir = temp_dir("partial");
     let grid = small_grid();
-    let cfg = SweepConfig::with_threads(2).with_cache(SweepCache::new(&dir));
+    let cfg = SweepConfig::with_threads(2).with_store(open_store(&dir));
     let first = run_grid(&grid, &cfg);
 
     // Same grid plus one extra size: only the new cells run.
@@ -74,15 +84,17 @@ fn changed_axes_execute_only_the_new_cells() {
 fn code_version_bump_retires_the_cache() {
     let dir = temp_dir("codebump");
     let grid = small_grid();
-    let v1 = SweepConfig::with_threads(2)
-        .with_cache(SweepCache::with_code_version(&dir, "resweep-test-v1"));
-    let first = run_grid(&grid, &v1);
-    assert_eq!(first.cache_hits, 0);
-    assert_eq!(run_grid(&grid, &v1).cache_hits, first.cell_count);
-
-    let v2 = SweepConfig::with_threads(2)
-        .with_cache(SweepCache::with_code_version(&dir, "resweep-test-v2"));
-    let bumped = run_grid(&grid, &v2);
+    let versioned = |version: &str| {
+        let store = BinaryStore::with_code_version(&dir, version).expect("store opens");
+        SweepConfig::with_threads(2).with_store(Arc::new(store))
+    };
+    {
+        let v1 = versioned("resweep-test-v1");
+        let first = run_grid(&grid, &v1);
+        assert_eq!(first.cache_hits, 0);
+        assert_eq!(run_grid(&grid, &v1).cache_hits, first.cell_count);
+    }
+    let bumped = run_grid(&grid, &versioned("resweep-test-v2"));
     assert_eq!(bumped.cache_hits, 0, "a code-version bump must re-execute every cell");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -93,8 +105,10 @@ fn streaming_mode_matches_collected_summaries_without_holding_cells() {
     let grid = small_grid();
     let collected = run_grid(&grid, &SweepConfig::with_threads(2));
 
-    let streaming = SweepConfig::with_threads(2).with_cache(SweepCache::new(&dir)).streaming();
-    let streamed = run_grid(&grid, &streaming);
+    let store = open_store(&dir);
+    let streaming =
+        SweepConfig::with_threads(2).with_store(Arc::clone(&store) as Arc<dyn ResultStore>);
+    let streamed = run_grid(&grid, &streaming.streaming());
     assert!(streamed.cells.is_empty(), "streaming mode must not hold cells in memory");
     assert_eq!(streamed.cell_count, collected.cell_count);
     // Summaries agree on every deterministic field (wall times differ between two live runs).
@@ -107,11 +121,10 @@ fn streaming_mode_matches_collected_summaries_without_holding_cells() {
 
     // Every cell is recoverable from the cache, in canonical order, deterministically
     // identical to the collected run.
-    let cache = SweepCache::new(&dir);
     let reloaded: Vec<_> = grid
         .cells()
         .into_iter()
-        .map(|cell| cache.load(&cell, grid.base_seed).expect("streamed cell must be cached"))
+        .map(|cell| store.load(&cell, grid.base_seed).expect("streamed cell must be cached"))
         .collect();
     let reloaded_view: Vec<_> = reloaded.iter().map(|c| c.deterministic_view()).collect();
     let collected_view: Vec<_> = collected.cells.iter().map(|c| c.deterministic_view()).collect();

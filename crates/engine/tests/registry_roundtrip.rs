@@ -1,10 +1,11 @@
 //! The registry contracts, end to end: every registered name (workloads and families,
 //! builtin and parameterized) parses back to itself, tags are pairwise distinct, and the
-//! identities derived from them (instance keys, cache keys) separate parameterized
+//! identities derived from them (instance keys, store keys) separate parameterized
 //! families that the closed catalog used to collapse.
 
 use local_engine::{
-    default_workloads, parse_workload, render_listing, workload, Scenario, SweepCache, WorkloadSpec,
+    default_workloads, parse_workload, render_listing, workload, BinaryStore, CellResult,
+    ResultStore, Scenario, WorkloadSpec,
 };
 use local_graphs::{builtin_families, family, parse_family, FamilySpec};
 
@@ -82,7 +83,9 @@ fn parameterized_families_never_share_instance_streams_or_cache_keys() {
         n: 128,
         replicate: 0,
     };
-    let cache = SweepCache::with_code_version("unused", "registry-test");
+    let dir = std::env::temp_dir().join(format!("registry-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = BinaryStore::with_code_version(&dir, "registry-test").expect("store opens");
     let names = ["gnp-d8", "gnp-d16", "regular-4", "regular-8", "forest-2", "forest-4"];
     for (i, a) in names.iter().enumerate() {
         for b in &names[i + 1..] {
@@ -92,8 +95,36 @@ fn parameterized_families_never_share_instance_streams_or_cache_keys() {
                 cb.instance_key(5).seed,
                 "{a} and {b} draw from one instance stream"
             );
-            assert_ne!(cache.key(&ca, 5), cache.key(&cb, 5), "{a} and {b} share a cache key");
+            store.store(&ca, 5, &stored_result(&ca)).expect("store appends");
+            assert!(store.load(&cb, 5).is_none(), "{a} and {b} share a store key");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A placeholder result for `cell`: key separation is the property under test, not the
+/// value.
+fn stored_result(cell: &Scenario) -> CellResult {
+    CellResult {
+        problem: cell.problem.name().to_string(),
+        family: cell.family.name().to_string(),
+        requested_n: cell.n,
+        n: cell.n,
+        edges: 0,
+        replicate: cell.replicate,
+        seed: 0,
+        uniform_rounds: 0,
+        uniform_messages: 0,
+        nonuniform_rounds: 0,
+        nonuniform_messages: 0,
+        overhead_ratio: 0.0,
+        subiterations: 0,
+        solved: true,
+        valid: true,
+        wall_micros: 0,
+        attempt_micros: 0,
+        prune_micros: 0,
+        instance_micros: 0,
     }
 }
 

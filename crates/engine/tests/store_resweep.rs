@@ -1,17 +1,20 @@
 //! Incremental re-sweeps through the segmented binary store (`--store`): a second
-//! identical sweep is 100 % store hits and byte-identical to the first; the store-backed
-//! report is byte-identical (deterministic view) to the JSON cache's; a streamed re-sweep
-//! summarizes through the columnar path without materializing a single `CellResult` row;
-//! `sweep store import` migrates a JSON cache so the store re-serves its exact bytes; and
-//! the process backend writes through the store like the in-process pool does.
+//! identical sweep on one handle is 100 % store hits, byte-identical to the first, and
+//! appends nothing; store-backed reports (cold and warm) are byte-identical
+//! (deterministic view) to a store-less sweep's; a streamed re-sweep summarizes through
+//! the columnar path without materializing a single `CellResult` row; `sweep store
+//! import` migrates a legacy JSON cache so the store re-serves its exact bytes; and the
+//! process backend writes through the store like the in-process pool does. The store's
+//! cache behaviours (changed axes, code-version bumps, streaming) are in
+//! `cache_resweep.rs`.
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    report_from_store, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid, Sweep,
-    SweepCache, SweepConfig,
+    report_from_store, run_grid, workload, BinaryStore, CellResult, ResultStore, Scenario,
+    ScenarioGrid, Sweep, SweepConfig, CODE_VERSION,
 };
 use local_graphs::{family, Family};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 
@@ -21,8 +24,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The same grid `cache_resweep.rs` uses, so the two suites pin the same behavior to the
-/// same workload mix: 2 problems × 2 families × 2 sizes × 2 seeds = 16 cells.
+/// 2 problems × 2 families × 2 sizes × 2 seeds = 16 cells.
 fn small_grid() -> ScenarioGrid {
     ScenarioGrid::new()
         .problems([workload("mis"), workload("luby-mis")])
@@ -32,8 +34,19 @@ fn small_grid() -> ScenarioGrid {
         .base_seed(5)
 }
 
-fn open_store(dir: &PathBuf) -> Arc<BinaryStore> {
+fn open_store(dir: &Path) -> Arc<BinaryStore> {
     Arc::new(BinaryStore::open(dir).expect("store opens"))
+}
+
+/// One legacy JSON cache entry — the `{"code_version","label","cell"}` envelope the
+/// retired one-file-per-cell cache wrote, which `sweep store import` reads.
+fn legacy_entry(code_version: &str, cell: &Scenario, result: &CellResult) -> String {
+    format!(
+        "{{\"code_version\":{},\"label\":{},\"cell\":{}}}",
+        serde_json::to_string(&code_version).expect("string serializes"),
+        serde_json::to_string(&cell.label()).expect("string serializes"),
+        serde_json::to_string(result).expect("cell serializes"),
+    )
 }
 
 #[test]
@@ -55,6 +68,11 @@ fn second_sweep_through_the_store_is_all_hits_and_byte_identical() {
     let second = run_grid(&grid, &cfg);
     assert_eq!(second.cache_hits, second.cell_count, "a re-sweep must be 100% store hits");
     assert_eq!(second.distinct_instances, 0, "hits must not regenerate instances");
+    assert_eq!(
+        store.stats().records_appended,
+        grid.cell_count() as u64,
+        "a re-sweep served from the store appends nothing"
+    );
     // The merged report is byte-identical: stored cells carry their original measurements.
     assert_eq!(first.to_csv_with(true), second.to_csv_with(true));
     assert_eq!(first.summaries, second.summaries);
@@ -63,28 +81,23 @@ fn second_sweep_through_the_store_is_all_hits_and_byte_identical() {
 }
 
 #[test]
-fn store_and_json_cache_reports_are_byte_identical() {
-    let cache_dir = temp_dir("vs-cache-json");
-    let store_dir = temp_dir("vs-cache-bin");
+fn store_backed_reports_are_byte_identical_to_storeless_ones() {
+    let dir = temp_dir("vs-storeless");
     let grid = small_grid();
-    let through_cache =
-        run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&cache_dir)));
-    let through_store = run_grid(
-        &grid,
-        &SweepConfig::with_threads(2).with_store(open_store(&store_dir) as Arc<dyn ResultStore>),
-    );
-    // Two live runs differ only in wall clocks; under the deterministic view the two
-    // persistence backends must be indistinguishable down to the output bytes.
-    assert_eq!(
-        through_cache.deterministic_view().to_json(),
-        through_store.deterministic_view().to_json()
-    );
-    assert_eq!(
-        through_cache.deterministic_view().to_csv_with(true),
-        through_store.deterministic_view().to_csv_with(true)
-    );
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
+    let storeless = run_grid(&grid, &SweepConfig::with_threads(2)).deterministic_view();
+    let cfg = SweepConfig::with_threads(2).with_store(open_store(&dir));
+    let cold = run_grid(&grid, &cfg).deterministic_view();
+    let warm = run_grid(&grid, &cfg).deterministic_view();
+    assert_eq!(warm.cache_hits, warm.cell_count, "the warm run must be 100% store hits");
+    // Two live runs differ only in wall clocks; under the deterministic view a sweep must
+    // produce the same cell and summary bytes with or without a store. The warm report
+    // differs only in its hit and instance counts, which say where the cells came from.
+    for report in [&cold, &warm] {
+        assert_eq!(storeless.to_csv_with(true), report.to_csv_with(true));
+        assert_eq!(storeless.summaries, report.summaries);
+    }
+    assert_eq!(storeless.to_json(), cold.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -131,10 +144,22 @@ fn store_import_migrates_a_json_cache_byte_identically() {
     let cache_dir = temp_dir("import-json");
     let store_dir = temp_dir("import-bin");
     let grid = small_grid();
-    let seeded =
-        run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&cache_dir)));
+    let seeded = run_grid(&grid, &SweepConfig::with_threads(2));
+    let cells = grid.cells();
+    let entry = |version: &str, i: usize| legacy_entry(version, &cells[i], &seeded.cells[i]);
+    let write = |name: &str, text: &str| {
+        std::fs::write(cache_dir.join(name), text).expect("cache entry writes");
+    };
+    std::fs::create_dir_all(&cache_dir).expect("cache dir creates");
+    for i in 0..cells.len() {
+        write(&format!("cell-{i:04}.json"), &entry(CODE_VERSION, i));
+    }
+    // One entry from other code and one torn mid-write: both must be skipped, never served.
+    write("foreign.json", &entry("local-engine-0.0.0+r0", 0));
+    let torn = entry(CODE_VERSION, 1);
+    write("torn.json", &torn[..torn.len() / 2]);
 
-    let import = |expect_imported: &str| {
+    let import = |expect: &[&str]| {
         let output = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args([
                 "store",
@@ -149,17 +174,18 @@ fn store_import_migrates_a_json_cache_byte_identically() {
             .expect("sweep store import runs");
         assert!(output.status.success(), "import failed: {output:?}");
         let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
-        assert!(stdout.contains(expect_imported), "unexpected import accounting: {stdout}");
+        for part in expect {
+            assert!(stdout.contains(part), "expected {part:?} in import accounting: {stdout}");
+        }
     };
-    import(&format!("store import: {} cells imported", grid.cell_count()));
+    let skips = ["skipped 1 foreign-version, 0 seed-mismatched", "1 unreadable"];
+    import(&[&format!("store import: {} cells imported", grid.cell_count()), skips[0], skips[1]]);
     // A second import is a no-op: every entry is already present.
-    import("store import: 0 cells imported");
+    let present = format!("{} already present", grid.cell_count());
+    import(&["store import: 0 cells imported", skips[0], skips[1], &present]);
 
     // A re-sweep through the migrated store serves the seed run's exact cells.
-    let resweep = run_grid(
-        &grid,
-        &SweepConfig::with_threads(2).with_store(open_store(&store_dir) as Arc<dyn ResultStore>),
-    );
+    let resweep = run_grid(&grid, &SweepConfig::with_threads(2).with_store(open_store(&store_dir)));
     assert_eq!(resweep.cache_hits, resweep.cell_count, "migrated cells must all hit");
     assert_eq!(seeded.to_csv_with(true), resweep.to_csv_with(true));
     assert_eq!(seeded.summaries, resweep.summaries);

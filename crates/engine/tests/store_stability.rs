@@ -1,8 +1,9 @@
 //! Wire stability of the binary result codec backing `--store`: encode → decode →
 //! re-encode is byte-identical for arbitrary results (the on-disk value bytes are a
 //! stable format, not an implementation detail), the columnar decoder agrees with the
-//! row decoder on every summary column, and any truncation or trailing garbage is
-//! rejected as a miss rather than misread.
+//! row decoder on every summary column, any truncation or trailing garbage is rejected as
+//! a miss rather than misread, and hostile bytes — arbitrary vectors, or a valid encoding
+//! with one byte flipped — never panic either decoder.
 
 use local_engine::store::{decode_cell_columns, decode_cell_result, encode_cell_result};
 use local_engine::{default_workloads, workload, CellColumns, CellResult, WorkloadSpec};
@@ -97,5 +98,51 @@ proptest! {
         padded.push(0);
         prop_assert_eq!(decode_cell_result(&padded), None, "trailing bytes must not decode");
         prop_assert_eq!(decode_cell_columns(&padded), None);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoders(
+        bytes in prop::collection::vec(any::<u8>(), 0usize..160),
+        version_one in any::<bool>(),
+    ) {
+        // Half the cases open with the codec's version byte, so the fuzz reaches past the
+        // first check into the length prefixes, strings and columns.
+        let mut bytes = bytes;
+        if let (true, Some(first)) = (version_one, bytes.first_mut()) {
+            *first = 1;
+        }
+        // Whatever the row decoder accepts, the columnar one reads the same columns from
+        // (it skips the strings, so it does not check their UTF-8).
+        let columns = decode_cell_columns(&bytes);
+        if let Some(row) = decode_cell_result(&bytes) {
+            prop_assert_eq!(columns, Some(CellColumns::from(&row)));
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_never_panics_and_stray_flag_bits_miss(
+        result in arbitrary_result(),
+        position in 0.0f64..1.0,
+        mask in 0u8..255,
+    ) {
+        let mask = mask + 1;
+        let encoded = encode_cell_result(&result);
+        let mut flipped = encoded.clone();
+        let at = ((flipped.len() as f64) * position) as usize;
+        flipped[at] ^= mask;
+        // Flipping a column byte yields another valid result; flipping a string byte may
+        // yield invalid UTF-8 or a wrong length. Either way both decoders answer without
+        // panicking.
+        let columns = decode_cell_columns(&flipped);
+        if let Some(row) = decode_cell_result(&flipped) {
+            prop_assert_eq!(columns, Some(CellColumns::from(&row)));
+        }
+        // The flags byte is last; only its low two bits mean anything, so any set bit
+        // above them must decode to a miss.
+        let mut flags = encoded;
+        let last = flags.len() - 1;
+        flags[last] |= (mask & !0b11) | 0b100;
+        prop_assert_eq!(decode_cell_result(&flags), None);
+        prop_assert_eq!(decode_cell_columns(&flags), None);
     }
 }

@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! store-dir/
+//!   LOCK               held (flock) by the one open handle
 //!   seg-00000.bin      header | record | record | ...
 //!   seg-00001.bin      header | record | ...        (rotated at ~16 MiB)
 //! ```

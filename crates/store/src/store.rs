@@ -95,11 +95,35 @@ struct State {
 ///
 /// All methods take `&self`; a single internal mutex serializes index updates,
 /// appends, and reads so the handle can be shared across sweep worker threads.
+/// Across handles and processes, the handle holds an exclusive lock on
+/// `DIR/LOCK` for its lifetime: two writers would append at the same offset
+/// and overwrite each other's records.
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
     config: StoreConfig,
     state: Mutex<State>,
+    /// Held, never read: dropping the handle closes it and releases the lock.
+    _lock: File,
+}
+
+/// The file every open handle holds an exclusive `flock` on. The kernel drops
+/// the lock when its holder exits, so a crashed writer leaves no stale lock.
+const LOCK_FILE: &str = "LOCK";
+
+/// Takes the store's single-writer lock, failing fast with
+/// [`io::ErrorKind::WouldBlock`] while another handle holds it.
+fn lock_store(dir: &Path) -> io::Result<File> {
+    let file =
+        OpenOptions::new().create(true).truncate(false).write(true).open(dir.join(LOCK_FILE))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(fs::TryLockError::WouldBlock) => Err(io::Error::new(
+            io::ErrorKind::WouldBlock,
+            format!("store {} is already open in another handle or process", dir.display()),
+        )),
+        Err(fs::TryLockError::Error(err)) => Err(err),
+    }
 }
 
 fn segment_path(dir: &Path, id: u32) -> PathBuf {
@@ -145,9 +169,13 @@ impl SegmentStore {
     /// reopens cleanly after a crash. A damaged header is tolerated only on
     /// the newest segment (the one a crashed writer could have been creating);
     /// anywhere else it is a hard error.
+    ///
+    /// The lock is taken before recovery, so a second open of a live store
+    /// fails with [`io::ErrorKind::WouldBlock`] without touching its segments.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<SegmentStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let lock = lock_store(&dir)?;
         let config =
             StoreConfig { max_segment_bytes: config.max_segment_bytes.clamp(1, u32::MAX as u64) };
 
@@ -231,6 +259,7 @@ impl SegmentStore {
                 readers: HashMap::new(),
                 stats,
             }),
+            _lock: lock,
         })
     }
 
@@ -361,6 +390,21 @@ mod tests {
         let reopened = SegmentStore::open(&dir).unwrap();
         assert_eq!(reopened.get(b"key").as_deref(), Some(b"v2".as_slice()));
         assert_eq!(reopened.stats().records_indexed, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_handle_is_refused_until_the_first_is_dropped() {
+        let dir = temp_dir("single-writer");
+        let first = SegmentStore::open(&dir).unwrap();
+        first.append(b"cell-a", b"kept").unwrap();
+        let err = SegmentStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(err.to_string().contains(&dir.display().to_string()), "{err}");
+        drop(first);
+        let reopened = SegmentStore::open(&dir).unwrap();
+        assert_eq!(reopened.get(b"cell-a").as_deref(), Some(b"kept".as_slice()));
+        assert_eq!(reopened.stats().truncated_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
