@@ -2,7 +2,8 @@
 //!
 //! `sweep --coordinate ADDR` runs a [`CoordinatorServer`]: a TCP service that accepts any
 //! number of concurrent client connections, each submitting *jobs* — one JSON line per job,
-//! either `{"shard": <CellShard>, …}` (what [`CoordinatorBackend`] ships) or
+//! either `{"shard": <CellShard>, …}` (what a [`NetworkBackend`] pointed at the
+//! coordinator ships) or
 //! `{"grid": <ScenarioGrid>, …}` (for hand-written clients; the grid is expanded in its
 //! canonical cell order), optionally carrying `"telemetry": <ms>` and a `"client": <name>`
 //! for accounting. The coordinator decomposes each job into instance-grouped stripes
@@ -29,15 +30,14 @@
 use super::network::NetworkBackend;
 use super::process::observations_to_value;
 use super::telemetry::WorkerTelemetry;
-use super::{rescue_missing, CellShard, EmitFn, ExecBackend, FaultPlan};
+use super::{read_bounded_line, rescue_missing, CellShard, FaultPlan, Raw, MAX_REQUEST_LINE_BYTES};
 use crate::cost::CostModel;
-use crate::progress::ProgressMeter;
 use crate::report::CellResult;
 use crate::scenario::{Scenario, ScenarioGrid};
 use crate::store::ResultStore;
 use local_coord::{ClientLedger, FairScheduler, JobStats, TaskEntry, MAX_PEERS};
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -53,8 +53,6 @@ pub struct CoordinatorConfig {
     pub rescue_threads: usize,
     /// I/O liveness deadline towards the fleet, in milliseconds.
     pub io_deadline_ms: u64,
-    /// Per-attempt connect timeout towards the fleet, in milliseconds.
-    pub connect_timeout_ms: u64,
     /// Reconnect backoff base, in milliseconds.
     pub retry_base_ms: u64,
     /// Reconnect backoff cap, in milliseconds.
@@ -79,7 +77,6 @@ impl Default for CoordinatorConfig {
             fleet: Vec::new(),
             rescue_threads: 0,
             io_deadline_ms: 600_000,
-            connect_timeout_ms: 5_000,
             retry_base_ms: 100,
             retry_cap_ms: 5_000,
             max_connect_attempts: 5,
@@ -304,7 +301,6 @@ impl CoordinatorServer {
         let backend = NetworkBackend::new(config.fleet.clone())
             .rescue_threads(config.rescue_threads)
             .io_deadline_ms(config.io_deadline_ms)
-            .connect_timeout_ms(config.connect_timeout_ms)
             .retry(config.retry_base_ms, config.retry_cap_ms, config.max_connect_attempts)
             .faults(config.faults.clone());
         let scheduler = FairScheduler::new(config.fleet.len());
@@ -450,7 +446,7 @@ fn rescue_task(state: &ServerState, task: StripeTask) {
 
 /// One client connection: job lines in, result streams out, one job in flight at a time
 /// (results of concurrent jobs on one socket would interleave unparseably — clients
-/// wanting parallel jobs open parallel connections, like [`CoordinatorBackend`] does).
+/// wanting parallel jobs open parallel connections, one per submitting backend).
 fn client_session(stream: TcpStream, state: &ServerState) {
     let peer_name =
         stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "unknown peer".to_string());
@@ -464,28 +460,21 @@ fn client_session(stream: TcpStream, state: &ServerState) {
     };
     let writer = Arc::new(Mutex::new(stream));
     let mut reader = reader;
-    let mut line = String::new();
     let mut last_client = None;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if let Err(e) = serve_job(line.trim(), &peer_name, &writer, state, &mut last_client)
-                {
-                    eprintln!("coord [{peer_name}]: {e}");
-                    let reply = Raw(Value::Map(vec![("error".into(), Value::Str(e))]));
-                    let text = serde_json::to_string(&reply).expect("error line serializes");
-                    let mut writer = writer.lock().expect("client writer poisoned");
-                    let _ = writeln!(writer, "{text}");
-                    let _ = writer.flush();
-                    break;
-                }
-            }
-            Err(e) => {
-                eprintln!("coord [{peer_name}]: read failed: {e}");
-                break;
-            }
+        let served = match read_bounded_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+            Ok(None) => break,
+            Ok(Some(line)) => serve_job(line.trim(), &peer_name, &writer, state, &mut last_client),
+            Err(e) => Err(e.to_string()),
+        };
+        if let Err(e) = served {
+            eprintln!("coord [{peer_name}]: {e}");
+            let reply = Raw(Value::Map(vec![("error".into(), Value::Str(e))]));
+            let text = serde_json::to_string(&reply).expect("error line serializes");
+            let mut writer = writer.lock().expect("client writer poisoned");
+            let _ = writeln!(writer, "{text}");
+            let _ = writer.flush();
+            break;
         }
     }
     if let Some(client) = last_client {
@@ -684,97 +673,5 @@ fn heartbeat_loop(job: &CoordJob, interval_ms: u64) {
         // Best-effort: a heartbeat the client never reads must not fail the job.
         let _ = writeln!(writer, "{text}");
         let _ = writer.flush();
-    }
-}
-
-/// Adapter rendering a raw [`Value`] through the serde stub.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-/// Submits sweeps to a `sweep --coordinate` service (`--submit ADDR` on the client).
-///
-/// A coordinator speaks the daemon wire protocol, so this is the network backend pointed
-/// at a single peer — the coordinator — with every request naming its owning client for
-/// the coordinator's per-client accounting. The single "peer" is the whole fleet: if the
-/// coordinator itself dies mid-job, the shard is rescued in-process on the client, the
-/// same lossless degradation every other backend has.
-pub struct CoordinatorBackend {
-    inner: NetworkBackend,
-}
-
-impl CoordinatorBackend {
-    /// A backend submitting to the coordinator at `addr`.
-    pub fn new(addr: impl Into<String>) -> Self {
-        CoordinatorBackend { inner: NetworkBackend::new(vec![addr.into()]) }
-    }
-
-    /// Names this client in every submission (default: anonymous, named by the
-    /// coordinator after the connection's source address).
-    pub fn client(mut self, name: impl Into<String>) -> Self {
-        self.inner = self.inner.client(name);
-        self
-    }
-
-    /// Sets how many threads the in-process rescue path uses when the coordinator cannot
-    /// serve the job (`0` = available parallelism).
-    pub fn rescue_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.rescue_threads(threads);
-        self
-    }
-
-    /// Attaches a live progress meter; the coordinator is then asked for heartbeats.
-    pub fn progress(mut self, meter: ProgressMeter) -> Self {
-        self.inner = self.inner.progress(meter);
-        self
-    }
-
-    /// Sets the I/O liveness deadline in milliseconds.
-    pub fn io_deadline_ms(mut self, ms: u64) -> Self {
-        self.inner = self.inner.io_deadline_ms(ms);
-        self
-    }
-
-    /// Sets the per-attempt connect timeout in milliseconds.
-    pub fn connect_timeout_ms(mut self, ms: u64) -> Self {
-        self.inner = self.inner.connect_timeout_ms(ms);
-        self
-    }
-
-    /// Sets the reconnect policy towards the coordinator.
-    pub fn retry(mut self, base_ms: u64, cap_ms: u64, attempts: u32) -> Self {
-        self.inner = self.inner.retry(base_ms, cap_ms, attempts);
-        self
-    }
-
-    /// Sets the deterministic fault-injection plan (connect refusals towards the
-    /// coordinator).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.inner = self.inner.faults(plan);
-        self
-    }
-}
-
-impl ExecBackend for CoordinatorBackend {
-    fn name(&self) -> &'static str {
-        "coordinator"
-    }
-
-    fn parallelism(&self) -> usize {
-        // The coordinator's fleet size is its business; the report's deterministic view
-        // zeroes this field anyway.
-        1
-    }
-
-    fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        self.inner.run_shard(shard, emit);
-    }
-
-    fn calibration(&self) -> CostModel {
-        self.inner.calibration()
     }
 }

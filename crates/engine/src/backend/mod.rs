@@ -2,19 +2,20 @@
 //!
 //! The scheduler ([`crate::scheduler`]) owns everything around execution — cache probing,
 //! cost-model ordering, streaming aggregation, canonical report order — and hands the
-//! actual running of cells to an [`ExecBackend`] as one [`CellShard`]. Three backends ship:
+//! actual running of cells to an [`ExecBackend`] as one [`CellShard`]. Two kinds ship:
 //!
 //! * [`InProcessBackend`] — the work-stealing thread pool ([`crate::pool`]) that has always
 //!   powered `run_grid`, now behind the trait;
-//! * [`ProcessBackend`] — spawns `sweep --worker` subprocesses, ships each a serialized
-//!   sub-shard over stdin, and merges their newline-delimited result streams, falling back
-//!   to in-process execution when a worker dies or emits garbage;
-//! * [`NetworkBackend`] — stripes shards over persistent `sweep --serve` TCP daemons with
-//!   connect/read deadlines, capped reconnect backoff, heartbeat liveness, re-dispatch of a
-//!   dead peer's cells to healthy peers, and the same in-process rescue of last resort.
+//! * [`Remote`] — one runner for cells that execute elsewhere: it stripes the shard over
+//!   worker slots, verifies every streamed result, re-dispatches a failed stripe's
+//!   remainder to a healthy slot and rescues the rest in-process. It runs over two
+//!   transports: [`ProcessBackend`] spawns `sweep --worker` subprocesses over stdio, and
+//!   [`NetworkBackend`] connects to persistent `sweep --serve` daemons (or one
+//!   `sweep --coordinate` service) over TCP.
 //!
-//! All three are exercised against the same deterministic fault-injection layer
-//! ([`faults`]), so the rescue discipline is tested, not asserted.
+//! Both remote transports are exercised against the same deterministic fault-injection
+//! layer ([`faults`]), so the rescue discipline is tested, not asserted. The
+//! [`coordinator`] serves many clients over one daemon fleet with the same runner.
 //!
 //! The determinism contract survives the abstraction because every cell's seed is a pure
 //! function of its identity and results are emitted with their shard index: any backend, at
@@ -23,24 +24,25 @@
 pub mod coordinator;
 pub mod faults;
 mod in_process;
-pub mod network;
+mod network;
 mod process;
+mod remote;
 pub(crate) mod stream;
 pub mod telemetry;
 
-pub use coordinator::{
-    coordinate_forever, CoordinatorBackend, CoordinatorConfig, CoordinatorServer,
-};
+pub use coordinator::{coordinate_forever, CoordinatorConfig, CoordinatorServer};
 pub use faults::{backoff_ms, FaultAction, FaultClause, FaultInjector, FaultPlan, LineFault};
 pub use in_process::InProcessBackend;
-pub use network::{serve_forever, NetworkBackend};
-pub use process::{worker_serve, ProcessBackend};
+pub use network::{serve_forever, NetworkBackend, Tcp};
+pub use process::{worker_serve, ProcessBackend, Spawn};
+pub use remote::Remote;
 pub use telemetry::{liveness_window, SpanDump, WireEvent, WireTrack, WorkerTelemetry};
 
 use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize, Value};
+use std::io::{BufRead, Read};
 use std::sync::Mutex;
 
 /// A batch of cells dispatched to a backend as one unit of work, in execution (LPT) order.
@@ -175,7 +177,8 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
     BackendEntry {
         name: "process",
         summary: "sweep --worker subprocesses over the stdin/stdout shard protocol; a \
-                  failed worker's cells are rescued in-process",
+                  failed worker's cells are re-dispatched to a healthy worker, then rescued \
+                  in-process",
         flags: "--workers, --threads, --faults",
     },
     BackendEntry {
@@ -201,12 +204,52 @@ pub fn render_backend_listing() -> String {
     out
 }
 
+/// Adapter rendering a raw [`Value`] through the serde stub (which serializes `Serialize`
+/// types, not `Value`s directly): every hand-built protocol line goes through it.
+pub(super) struct Raw(pub Value);
+
+impl Serialize for Raw {
+    fn to_value(&self) -> Value {
+        self.0.clone()
+    }
+}
+
+/// The longest request line a daemon or coordinator reads from a client before refusing
+/// it. Requests carry whole shards; the largest routinely shipped is the
+/// `many-cells` benchmark job (33,792 cells) submitted to a coordinator as one line:
+/// 2,298,164 bytes, about 68 per cell. The cap leaves 29× headroom over it while bounding
+/// what one peer can make a server buffer.
+pub(super) const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
+/// Reads one `\n`-terminated line through [`Read::take`], so it consumes at most `cap + 1`
+/// bytes: `Ok(None)` at a clean EOF, an `InvalidData` error when `cap + 1` bytes pass
+/// without a newline (or the line is not UTF-8). The newline itself is stripped.
+pub(super) fn read_bounded_line(
+    reader: &mut impl BufRead,
+    cap: usize,
+) -> std::io::Result<Option<String>> {
+    let mut bytes = Vec::new();
+    let read = reader.by_ref().take(cap as u64 + 1).read_until(b'\n', &mut bytes)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if bytes.last() == Some(&b'\n') {
+        bytes.pop();
+    } else if read > cap {
+        let message = format!("request line exceeds {cap} bytes");
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, message));
+    }
+    String::from_utf8(bytes)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 /// The shared rescue path: re-runs `missing` cells of `stripe` with an
 /// [`InProcessBackend`], emitting each result via `emit` keyed by its *position in
 /// `missing`* (callers map that back to their own index space), merging the fallback's
 /// calibration into `observed`, and counting the re-run cells on
-/// [`local_obs::metrics::RESCUED_CELLS`]. Both distributed backends degrade through this
-/// one function, so the failure discipline cannot drift between transports.
+/// [`local_obs::metrics::RESCUED_CELLS`]. The remote runner and the coordinator degrade
+/// through this one function, so the failure discipline cannot drift between them.
 pub(crate) fn rescue_missing(
     stripe: &CellShard,
     missing: &[usize],
@@ -324,6 +367,20 @@ mod tests {
         assert_eq!(back, shard);
         assert_eq!(back.cells[0].problem.name(), "ruling-set-b4");
         assert_eq!(back.cells[0].family.name(), "gnp-d16");
+    }
+
+    #[test]
+    fn bounded_lines_consume_at_most_cap_plus_one_bytes_then_error() {
+        let mut input: &[u8] = b"short\nexactly8\n0123456789abcdef";
+        assert_eq!(read_bounded_line(&mut input, 8).unwrap().as_deref(), Some("short"));
+        assert_eq!(read_bounded_line(&mut input, 8).unwrap().as_deref(), Some("exactly8"));
+        let err = read_bounded_line(&mut input, 8).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "request line exceeds 8 bytes");
+        assert_eq!(input, b"9abcdef", "exactly cap + 1 bytes were consumed");
+        let mut tail: &[u8] = b"no newline";
+        assert_eq!(read_bounded_line(&mut tail, 64).unwrap().as_deref(), Some("no newline"));
+        assert_eq!(read_bounded_line(&mut tail, 64).unwrap(), None, "clean EOF");
     }
 
     #[test]

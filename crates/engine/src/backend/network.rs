@@ -1,69 +1,41 @@
-//! The network backend: shard dispatch to persistent `sweep --serve` TCP daemons.
+//! The TCP transport — persistent `sweep --serve` daemons — and the daemon itself.
 //!
-//! # Wire protocol
-//!
-//! The transport reuses the multi-process stream protocol verbatim ([`super::process`],
-//! verified by [`super::stream`]) with one framing addition: instead of a shard on stdin,
-//! the coordinator writes one JSON *request line* per shard over the socket —
-//! `{"shard": <CellShard>, "telemetry": <ms>?}` — and the daemon answers with exactly the
-//! stdout stream a `--worker` child would produce (result lines, optional heartbeats and a
-//! span dump, the observation-carrying sentinel). Connections are persistent: a daemon
-//! serves any number of requests per connection and any number of connections over its
-//! lifetime, version-checking every shard against its own build. A daemon that cannot
-//! serve a request answers a single `{"error": …}` line and drops the connection.
-//!
-//! # Robustness discipline
-//!
-//! Every connect carries a deadline, every read and write a liveness window
-//! ([`super::liveness_window`] — heartbeats shrink it from the configured I/O deadline to a
-//! few heartbeat intervals). Failed connects retry with capped exponential backoff and
-//! deterministic jitter ([`super::backoff_ms`]). When a peer dies mid-stripe, its verified
-//! cells stand, the missing remainder is re-dispatched to a healthy peer
-//! ([`local_obs::metrics::REDISPATCHED_CELLS`]), and whatever no peer can serve falls back
-//! to the shared in-process rescue ([`super::rescue_missing`]) — so a dead, flapping, or
-//! garbage-spewing daemon degrades wall clock, never the report. Connection state is
-//! observable: [`local_obs::metrics::NET_CONNECTS`]/[`local_obs::metrics::NET_RETRIES`]
-//! count attempts, [`local_obs::metrics::WORKER_STATE`] gauges the peak number of
-//! simultaneously connected peers, and every transition lands as a timestamped
-//! `worker-state` record labelled with the peer.
-//!
-//! Fault injection mirrors the process backend: `refuse*N` clauses fail the first N
-//! connect attempts coordinator-side; everything else in a `w<i>:` scope is scripted into
-//! daemon `i`'s own `LOCAL_FAULTS` environment when it is launched (daemons are separate
-//! processes — the coordinator cannot forward faults it did not start the daemon with).
+//! The wire protocol and the failure semantics are shared with the process transport and
+//! documented once, on the runner ([`super::remote`]). What TCP adds: every connect
+//! carries a deadline, failed connects retry with capped exponential backoff and
+//! deterministic jitter ([`super::backoff_ms`]), and the socket's read/write timeouts
+//! enforce the liveness window. Connection state is observable:
+//! [`local_obs::metrics::NET_CONNECTS`]/[`local_obs::metrics::NET_RETRIES`] count attempts,
+//! [`local_obs::metrics::WORKER_STATE`] gauges the peak number of simultaneously connected
+//! peers, and every transition lands as a timestamped `worker-state` record labelled with
+//! the peer.
 
 use super::faults::FaultInjector;
-use super::process::{observations_from_value, serve_shard};
-use super::stream::{LineOutcome, StripeStream};
+use super::process::serve_shard;
+use super::remote::{Dispatch, Remote, Transport};
 use super::telemetry::WorkerTelemetry;
-use super::{backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan};
-use crate::cost::CostModel;
-use crate::progress::ProgressMeter;
+use super::{backoff_ms, read_bounded_line, CellShard, Raw, MAX_REQUEST_LINE_BYTES};
 use local_coord::ConcurrencyGate;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(5_000);
+
 /// Executes shards by striping them over persistent `sweep --serve` TCP daemons.
+pub type NetworkBackend = Remote<Tcp>;
+
+/// The TCP transport: one fresh connection to a daemon per dispatch.
 #[derive(Debug)]
-pub struct NetworkBackend {
+pub struct Tcp {
     peers: Vec<String>,
-    rescue_threads: usize,
-    observed: Mutex<CostModel>,
-    progress: Option<ProgressMeter>,
-    heartbeat_ms: u64,
-    io_deadline_ms: u64,
-    connect_timeout_ms: u64,
     retry_base_ms: u64,
     retry_cap_ms: u64,
     max_connect_attempts: u32,
-    faults: FaultPlan,
-    /// Scripted connect refusals already consumed, per peer (process-lifetime semantics:
-    /// `refuse*2` refuses two attempts total, not two per stripe).
-    refused: Vec<AtomicU64>,
     /// Currently connected peers, for the connection-state gauge.
     connected: AtomicU64,
     /// Per-peer connection state, so the shared gauge only moves on real transitions (a
@@ -74,34 +46,27 @@ pub struct NetworkBackend {
     client_label: Option<String>,
 }
 
-impl NetworkBackend {
-    /// A backend over the given daemon addresses (`host:port`, one stripe per peer).
+impl Remote<Tcp> {
+    /// A backend over the given daemon addresses (`host:port`, one stripe per peer). A
+    /// single address may also be a `sweep --coordinate` service, which speaks the daemon
+    /// protocol and schedules the whole sweep over its own fleet.
     pub fn new(peers: Vec<String>) -> Self {
-        let refused = peers.iter().map(|_| AtomicU64::new(0)).collect();
-        let peer_up = peers.iter().map(|_| AtomicBool::new(false)).collect();
-        NetworkBackend {
-            refused,
-            peer_up,
+        let tcp = Tcp {
+            peer_up: peers.iter().map(|_| AtomicBool::new(false)).collect(),
             peers,
-            rescue_threads: 0,
-            observed: Mutex::new(CostModel::new()),
-            progress: None,
-            heartbeat_ms: 500,
-            io_deadline_ms: 600_000,
-            connect_timeout_ms: 5_000,
             retry_base_ms: 100,
             retry_cap_ms: 5_000,
             max_connect_attempts: 5,
-            faults: FaultPlan::from_env_lossy(),
             connected: AtomicU64::new(0),
             client_label: None,
-        }
+        };
+        Remote::over(tcp, 0)
     }
 
     /// Names this backend's owner in every request it ships. A coordinator peer books the
     /// request's cells under this client; plain daemons ignore the key.
     pub fn client(mut self, name: impl Into<String>) -> Self {
-        self.client_label = Some(name.into());
+        self.transport.client_label = Some(name.into());
         self
     }
 
@@ -113,54 +78,18 @@ impl NetworkBackend {
         self
     }
 
-    /// Attaches a live progress meter; daemons are then asked for heartbeats.
-    pub fn progress(mut self, meter: ProgressMeter) -> Self {
-        self.progress = Some(meter);
-        self
-    }
-
-    /// Sets the daemon heartbeat interval (default 500ms; only used when telemetry is on).
-    pub fn heartbeat_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_ms = ms.max(1);
-        self
-    }
-
-    /// Sets the I/O liveness deadline in milliseconds (default 600000). When heartbeats
-    /// flow, the effective read window shrinks to a few heartbeat intervals.
-    pub fn io_deadline_ms(mut self, ms: u64) -> Self {
-        self.io_deadline_ms = ms.max(1);
-        self
-    }
-
-    /// Sets the per-attempt connect timeout in milliseconds (default 5000).
-    pub fn connect_timeout_ms(mut self, ms: u64) -> Self {
-        self.connect_timeout_ms = ms.max(1);
-        self
-    }
-
     /// Sets the reconnect policy: capped exponential backoff starting at `base_ms`, capped
     /// at `cap_ms`, giving up on a peer after `attempts` failed connects (defaults
     /// 100/5000/5). Jitter is deterministic per (peer, attempt).
     pub fn retry(mut self, base_ms: u64, cap_ms: u64, attempts: u32) -> Self {
-        self.retry_base_ms = base_ms.max(1);
-        self.retry_cap_ms = cap_ms.max(base_ms.max(1));
-        self.max_connect_attempts = attempts.max(1);
+        self.transport.retry_base_ms = base_ms.max(1);
+        self.transport.retry_cap_ms = cap_ms.max(base_ms.max(1));
+        self.transport.max_connect_attempts = attempts.max(1);
         self
     }
+}
 
-    /// Sets the deterministic fault-injection plan (default: the `LOCAL_FAULTS`
-    /// environment script). Only coordinator-side clauses apply here — `refuse*N` scoped to
-    /// peer `i` fails that peer's first N connect attempts; stream faults belong in the
-    /// daemon's own environment.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    fn telemetry_interval(&self) -> Option<u64> {
-        (self.progress.is_some() || local_obs::is_enabled()).then_some(self.heartbeat_ms)
-    }
-
+impl Tcp {
     /// Records a connection-state transition for `peer` (1 = connected, 0 = down) and keeps
     /// the peak-concurrent-connections gauge current. The shared count moves only on this
     /// peer's *own* transitions: a failed connect to a peer that was never up (a scripted
@@ -182,25 +111,15 @@ impl NetworkBackend {
 
     /// Connects to `peer` with the retry policy; scripted refusals consume attempts like
     /// real connection errors (and count like them — backoff, retry counter, state record).
-    fn connect(&self, peer: usize) -> Result<TcpStream, String> {
+    fn connect(&self, peer: usize, refuse: &dyn Fn() -> bool) -> Result<TcpStream, String> {
         let addr = &self.peers[peer];
-        let scripted = self.faults.refuse_connects(peer);
-        let timeout = Duration::from_millis(self.connect_timeout_ms);
         let mut last_err = String::new();
         for attempt in 1..=self.max_connect_attempts {
-            // Refusals are process-lifetime: `refuse*2` refuses two attempts total across
-            // every stripe and re-dispatch, then lets connects through.
-            let refused = self.refused[peer]
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < scripted).then_some(n + 1)
-                })
-                .is_ok();
-            if refused {
-                local_obs::counter_add(local_obs::metrics::FAULTS_INJECTED, 1);
+            if refuse() {
                 eprintln!("[fault] refusing connect attempt {attempt} to peer {peer} ({addr})");
                 last_err = "fault-injected connect refusal".to_string();
             } else {
-                match try_connect(addr, timeout) {
+                match try_connect(addr) {
                     Ok(stream) => {
                         self.record_state(peer, true);
                         return Ok(stream);
@@ -224,248 +143,96 @@ impl NetworkBackend {
             self.max_connect_attempts
         ))
     }
+}
 
-    /// Dispatches one stripe to one peer over a fresh connection. Returns the stripe
-    /// indices still missing plus the failure reason when the stream cannot be trusted to
-    /// completion. (`pub(super)` so the coordinator can drive single-stripe dispatches with
-    /// its own scheduling policy while reusing this connect/verify/rescue machinery.)
-    pub(super) fn run_stripe(
+/// One open daemon connection mid-dispatch.
+pub struct TcpLink {
+    reader: BufReader<TcpStream>,
+    window: Duration,
+}
+
+impl Transport for Tcp {
+    type Link = TcpLink;
+    const NAME: &'static str = "network";
+
+    fn slots(&self) -> usize {
+        self.peers.len()
+    }
+
+    fn label(&self, slot: usize) -> String {
+        format!("peer {slot}")
+    }
+
+    fn open(
         &self,
-        peer: usize,
+        slot: usize,
         stripe: &CellShard,
-        parent_indices: &[usize],
-        emit: &EmitFn,
-    ) -> Result<(), (Vec<usize>, String)> {
-        let all = || (0..stripe.cells.len()).collect::<Vec<usize>>();
-        let stream = match self.connect(peer) {
-            Ok(stream) => stream,
-            Err(reason) => return Err((all(), reason)),
-        };
-        let telemetry = self.telemetry_interval();
-        let window = liveness_window(Duration::from_millis(self.io_deadline_ms), telemetry);
+        dispatch: &Dispatch,
+    ) -> Result<(TcpLink, u64), String> {
+        let stream = self.connect(slot, dispatch.refuse)?;
         let configured = stream
             .set_nodelay(true)
-            .and_then(|_| stream.set_read_timeout(Some(window)))
-            .and_then(|_| stream.set_write_timeout(Some(window)));
+            .and_then(|_| stream.set_read_timeout(Some(dispatch.window)))
+            .and_then(|_| stream.set_write_timeout(Some(dispatch.window)));
         if let Err(e) = configured {
-            self.record_state(peer, false);
-            return Err((all(), format!("cannot configure socket: {e}")));
+            self.record_state(slot, false);
+            return Err(format!("cannot configure socket: {e}"));
         }
 
         // Span timestamps in the daemon's dump are relative to the daemon's own request
         // epoch; rebase them onto our timeline at the moment we sent the request.
         let connect_offset = local_obs::now_micros();
         let mut request = vec![("shard".to_string(), stripe.to_value())];
-        if let Some(ms) = telemetry {
+        if let Some(ms) = dispatch.telemetry {
             request.push(("telemetry".to_string(), Value::U64(ms)));
         }
         if let Some(name) = &self.client_label {
             request.push(("client".to_string(), Value::Str(name.clone())));
         }
-        let request =
-            serde_json::to_string(&Line(Value::Map(request))).expect("request serializes");
+        let request = serde_json::to_string(&Raw(Value::Map(request))).expect("request serializes");
         let mut writer = &stream;
         if let Err(e) = writeln!(writer, "{request}").and_then(|_| writer.flush()) {
-            self.record_state(peer, false);
-            return Err((all(), format!("cannot ship the stripe to {}: {e}", self.peers[peer])));
+            self.record_state(slot, false);
+            return Err(format!("cannot ship the stripe to {}: {e}", self.peers[slot]));
         }
+        Ok((TcpLink { reader: BufReader::new(stream), window: dispatch.window }, connect_offset))
+    }
 
-        let mut reader = BufReader::new(&stream);
-        let mut verifier = StripeStream::new(stripe, format!("peer {peer}"), connect_offset);
-        let mut failure = None;
+    fn next_line(&self, link: &mut TcpLink) -> Result<Option<String>, String> {
         let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    failure = Some("connection closed before the sentinel".to_string());
-                    break;
-                }
-                Ok(_) => {
-                    let mut accept = |index: usize, result| emit(parent_indices[index], result);
-                    let text = line.trim_end_matches(['\n', '\r']);
-                    match verifier.consume(text, self.progress.as_ref(), &mut accept) {
-                        Ok(LineOutcome::Progress) => {}
-                        Ok(LineOutcome::Finished) => break,
-                        Err(reason) => {
-                            failure = Some(reason);
-                            break;
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    failure = Some(format!(
-                        "liveness deadline exceeded ({}ms without a line — dead peer?)",
-                        window.as_millis()
-                    ));
-                    break;
-                }
-                Err(e) => {
-                    failure = Some(format!("stream read error: {e}"));
-                    break;
-                }
+        match link.reader.read_line(&mut line) {
+            Ok(0) => Ok(None),
+            Ok(_) => Ok(Some(line.trim_end_matches(['\n', '\r']).to_string())),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                Err(format!(
+                    "liveness deadline exceeded ({}ms without a line — dead peer?)",
+                    link.window.as_millis()
+                ))
             }
-        }
-        if failure.is_none() {
-            failure = verifier.verify_completion().err();
-        }
-        self.record_state(peer, false);
-
-        match failure {
-            None => {
-                if let Some(observations) =
-                    verifier.sentinel_observations().map(observations_from_value)
-                {
-                    let mut observed = self.observed.lock().expect("cost observations poisoned");
-                    for (problem, family, obs, pred) in observations.unwrap_or_default() {
-                        observed.observe_group(&problem, &family, obs, pred);
-                    }
-                }
-                Ok(())
-            }
-            Some(reason) => {
-                self.observed
-                    .lock()
-                    .expect("cost observations poisoned")
-                    .merge(&verifier.line_observed);
-                Err((verifier.missing(), reason))
-            }
-        }
-    }
-}
-
-impl ExecBackend for NetworkBackend {
-    fn name(&self) -> &'static str {
-        "network"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        if shard.cells.is_empty() || self.peers.is_empty() {
-            if !shard.cells.is_empty() {
-                // No peers at all: everything is "irreducible remainder".
-                let all: Vec<usize> = (0..shard.cells.len()).collect();
-                super::rescue_missing(shard, &all, self.rescue_threads, &self.observed, emit);
-            }
-            return;
-        }
-        let stripes = shard.stripe(self.peers.len());
-        let healthy: Vec<AtomicBool> = self.peers.iter().map(|_| AtomicBool::new(true)).collect();
-        let failures: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (peer, (stripe, parent_indices)) in stripes.iter().enumerate() {
-                let healthy = &healthy;
-                let failures = &failures;
-                scope.spawn(move || {
-                    if let Err((missing, reason)) =
-                        self.run_stripe(peer, stripe, parent_indices, emit)
-                    {
-                        healthy[peer].store(false, Ordering::Relaxed);
-                        eprintln!(
-                            "sweep network backend: peer {peer} ({}) failed ({reason}); \
-                             re-dispatching {} cells",
-                            self.peers[peer],
-                            missing.len()
-                        );
-                        failures.lock().expect("failure list poisoned").push((peer, missing));
-                    }
-                });
-            }
-        });
-
-        // Degraded phase: walk each failed stripe's remainder through the healthy peers;
-        // whatever none of them can serve is rescued in-process. Sequential on purpose —
-        // this is the slow path, and determinism of the *report* never depended on it.
-        for (stripe_index, mut remaining) in failures.into_inner().expect("failure list poisoned") {
-            let (stripe, parent_indices) = &stripes[stripe_index];
-            while !remaining.is_empty() {
-                let Some(peer) =
-                    (0..self.peers.len()).find(|&p| healthy[p].load(Ordering::Relaxed))
-                else {
-                    break;
-                };
-                let sub = CellShard {
-                    base_seed: stripe.base_seed,
-                    code_version: stripe.code_version.clone(),
-                    cells: remaining.iter().map(|&i| stripe.cells[i].clone()).collect(),
-                };
-                let sub_parents: Vec<usize> =
-                    remaining.iter().map(|&i| parent_indices[i]).collect();
-                // Count a cell as re-dispatched only once it actually lands on the retry
-                // peer: counting up front would book the same cell once per failed attempt
-                // and double-book cells that end up rescued in-process instead.
-                let attempted = remaining.len() as u64;
-                match self.run_stripe(peer, &sub, &sub_parents, emit) {
-                    Ok(()) => {
-                        local_obs::counter_add(local_obs::metrics::REDISPATCHED_CELLS, attempted);
-                        remaining.clear();
-                    }
-                    Err((still_missing, reason)) => {
-                        local_obs::counter_add(
-                            local_obs::metrics::REDISPATCHED_CELLS,
-                            attempted - still_missing.len() as u64,
-                        );
-                        healthy[peer].store(false, Ordering::Relaxed);
-                        eprintln!(
-                            "sweep network backend: re-dispatch to peer {peer} ({}) failed \
-                             ({reason})",
-                            self.peers[peer]
-                        );
-                        remaining = still_missing.iter().map(|&k| remaining[k]).collect();
-                    }
-                }
-            }
-            if !remaining.is_empty() {
-                eprintln!(
-                    "sweep network backend: no healthy peers left; re-running {} cells \
-                     in-process",
-                    remaining.len()
-                );
-                let remaining = remaining;
-                super::rescue_missing(
-                    stripe,
-                    &remaining,
-                    self.rescue_threads,
-                    &self.observed,
-                    &|k, result| emit(parent_indices[remaining[k]], result),
-                );
-            }
+            Err(e) => Err(format!("stream read error: {e}")),
         }
     }
 
-    fn calibration(&self) -> CostModel {
-        let mut out = CostModel::new();
-        out.merge(&self.observed.lock().expect("cost observations poisoned"));
-        out
+    fn close(&self, slot: usize, _: TcpLink, failure: Option<String>) -> Option<String> {
+        self.record_state(slot, false);
+        failure
     }
 }
 
 /// One resolve-and-connect attempt with a deadline, trying every resolved address once.
-fn try_connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+fn try_connect(addr: &str) -> Result<TcpStream, String> {
     let resolved = addr.to_socket_addrs().map_err(|e| format!("cannot resolve {addr}: {e}"))?;
     let mut last = format!("{addr} resolves to no addresses");
     for candidate in resolved {
-        match TcpStream::connect_timeout(&candidate, timeout) {
+        match TcpStream::connect_timeout(&candidate, CONNECT_TIMEOUT) {
             Ok(stream) => return Ok(stream),
             Err(e) => last = e.to_string(),
         }
     }
     Err(last)
-}
-
-/// Adapter rendering a raw [`Value`] through the serde stub.
-struct Line(Value);
-
-impl Serialize for Line {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 /// Runs the `sweep --serve` daemon loop: binds `addr`, announces `listening on <addr>` on
@@ -510,8 +277,8 @@ pub fn serve_forever(addr: &str, threads: usize, max_concurrent: usize) -> Resul
 }
 
 /// Serves one client connection: request lines in, result streams out, until the client
-/// hangs up or a request cannot be served (one `{"error": …}` line, then hang up — the
-/// coordinator treats it like any other failed stream and rescues).
+/// hangs up or a request cannot be read or served — an over-long line included (one
+/// `{"error": …}` line, then hang up — the client treats it like any other failed stream).
 fn serve_connection(
     stream: TcpStream,
     threads: usize,
@@ -529,25 +296,19 @@ fn serve_connection(
         }
     };
     let mut writer = stream;
-    let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                if let Err(e) = serve_request(line.trim(), threads, faults, gate, &mut writer) {
-                    eprintln!("sweep serve [{client}]: {e}");
-                    let reply = Line(Value::Map(vec![("error".into(), Value::Str(e))]));
-                    let text = serde_json::to_string(&reply).expect("error line serializes");
-                    let _ = writeln!(writer, "{text}");
-                    let _ = writer.flush();
-                    return;
-                }
-            }
-            Err(e) => {
-                eprintln!("sweep serve [{client}]: read failed: {e}");
-                return;
-            }
+        let served = match read_bounded_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+            Ok(None) => return,
+            Ok(Some(line)) => serve_request(line.trim(), threads, faults, gate, &mut writer),
+            Err(e) => Err(e.to_string()),
+        };
+        if let Err(e) = served {
+            eprintln!("sweep serve [{client}]: {e}");
+            let reply = Raw(Value::Map(vec![("error".into(), Value::Str(e))]));
+            let text = serde_json::to_string(&reply).expect("error line serializes");
+            let _ = writeln!(writer, "{text}");
+            let _ = writer.flush();
+            return;
         }
     }
 }
@@ -575,7 +336,7 @@ fn serve_request(
             return;
         }
         let beat = WorkerTelemetry { cells_done: 0, wall_micros: 0, counters: Vec::new() };
-        let line = Line(Value::Map(vec![("telemetry".into(), beat.to_value())]));
+        let line = Raw(Value::Map(vec![("telemetry".into(), beat.to_value())]));
         let text = serde_json::to_string(&line).expect("heartbeat serializes");
         let _ = writeln!(out, "{text}");
         let _ = out.flush();

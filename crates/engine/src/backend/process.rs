@@ -1,74 +1,24 @@
-//! The multi-process backend and its serialized cell-shard protocol.
-//!
-//! # Wire protocol
-//!
-//! The parent splits the scheduler's shard into instance-grouped stripes (one per worker;
-//! graph instances round-robined in LPT order, so cells sharing an instance co-locate and
-//! no instance is generated twice across the fleet) and, per worker, spawns
-//! `sweep --worker --threads T`:
-//!
-//! * **stdin** — one JSON document: the worker's [`CellShard`] (base seed, code-version
-//!   tag, and `Scenario` coordinates). The worker reads it whole before executing
-//!   anything, then refuses it unless the code version matches its own build. The parent
-//!   writes it from a dedicated thread, behind the same liveness deadline as reads — a
-//!   wedged worker that never reads its stdin is detected and rescued, not waited on
-//!   forever.
-//! * **stdout** — newline-delimited JSON, one `{"index": i, "cell": {…}}` line per finished
-//!   cell (in completion order — the index maps back to the stripe), terminated by a
-//!   sentinel `{"done": n, "observations": […]}` line carrying the worker's cost-model
-//!   observation sums. When the parent requested telemetry (`--telemetry <ms>`), the
-//!   stream additionally carries `{"telemetry": …}` heartbeat records (progress + counter
-//!   totals, see [`super::telemetry::WorkerTelemetry`]) and one final `{"spans": …}` dump
-//!   of the worker's span buffers ([`super::telemetry::SpanDump`]) right before the
-//!   sentinel — both strictly additive, so mixed-version fleets exchange exactly the
-//!   pre-existing record bytes. Heartbeats double as liveness: a stream that stays silent
-//!   past the [`super::liveness_window`] is declared dead.
-//! * **stderr** — captured line by line, re-emitted on the parent's stderr prefixed with
-//!   the worker id (`[worker 3] …`); the last few lines ride along in the failure reason
-//!   when a worker dies, so the rescue-path log says *why*.
-//!
-//! # Failure semantics
-//!
-//! Every result line is verified against the cell it claims to be (problem, family, size,
-//! replicate, *and* the derived execution seed) before it is accepted (see
-//! [`super::stream`]). A worker that exits nonzero, truncates its stream, repeats an
-//! index, stalls past the liveness deadline, or emits anything unparseable is abandoned on
-//! the spot: its already-verified cells stand, and the parent re-executes the rest through
-//! the shared [`super::rescue_missing`] path — so a killed, wedged, or garbage-spewing
-//! worker degrades wall clock, never the report. Worker children are killed and reaped on
-//! drop, so no failure path (including a panicking emit) leaks a zombie.
-//!
-//! # Fault injection
-//!
-//! The backend honours a [`FaultPlan`] (builder knob, defaulting to the `LOCAL_FAULTS`
-//! environment script): clauses scoped `w<i>:` are forwarded — unscoped — into worker
-//! `i`'s environment, where [`worker_serve`] executes them against its own result stream;
-//! `refuse` clauses fail the spawn parent-side. Children of an unfaulted worker get
-//! `LOCAL_FAULTS` scrubbed from their environment, so a scripted coordinator can never
-//! leak its own script into the fleet.
+//! The process transport — `sweep --worker` children over stdio — and the worker side of
+//! the shard protocol (`sweep --worker` itself, and the serving core the `sweep --serve`
+//! daemon shares). The wire protocol and the failure semantics are documented once, on
+//! the runner both remote transports share ([`super::remote`]).
 
-use super::faults::{FaultInjector, FaultPlan, LineFault};
-use super::stream::{LineOutcome, StripeStream};
+use super::faults::{FaultInjector, LineFault};
+use super::remote::{Dispatch, Remote, Transport};
 use super::telemetry::SpanDump;
-use super::{liveness_window, CellShard, EmitFn, ExecBackend, InProcessBackend};
-use crate::cost::CostModel;
+use super::{CellShard, ExecBackend, InProcessBackend, Raw};
 use crate::pool;
-use crate::progress::ProgressMeter;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How many trailing worker-stderr lines ride along in a failure reason.
 const STDERR_TAIL: usize = 8;
-
-/// Default read/write liveness deadline: generous enough for the largest single cells when
-/// no heartbeats flow (telemetry shrinks the effective window via
-/// [`super::liveness_window`]).
-const DEFAULT_IO_DEADLINE_MS: u64 = 600_000;
 
 /// A worker child that is *always* killed and reaped: explicitly via [`ReapGuard::wait`]
 /// on the normal path, or by `Drop` when the dispatching thread unwinds (a panicking emit,
@@ -79,10 +29,6 @@ struct ReapGuard {
 }
 
 impl ReapGuard {
-    fn new(child: Child) -> Self {
-        ReapGuard { child: Some(child) }
-    }
-
     /// Best-effort kill; the process is reaped by [`ReapGuard::wait`] or `Drop`.
     fn kill(&mut self) {
         if let Some(child) = &mut self.child {
@@ -92,12 +38,8 @@ impl ReapGuard {
 
     /// Waits for (and thereby reaps) the child; afterwards `Drop` is a no-op.
     fn wait(&mut self) -> std::io::Result<ExitStatus> {
-        match &mut self.child {
-            Some(child) => {
-                let status = child.wait();
-                self.child = None;
-                status
-            }
+        match self.child.take() {
+            Some(mut child) => child.wait(),
             None => Err(std::io::Error::other("child already reaped")),
         }
     }
@@ -113,19 +55,18 @@ impl Drop for ReapGuard {
 }
 
 /// Executes shards by fanning stripes out to `sweep --worker` subprocesses.
+pub type ProcessBackend = Remote<Spawn>;
+
+/// The process transport: every dispatch spawns a fresh `sweep --worker` child, ships the
+/// stripe over its stdin and reads the result stream from its stdout.
 #[derive(Debug)]
-pub struct ProcessBackend {
+pub struct Spawn {
     workers: usize,
     worker_threads: usize,
     command: Vec<String>,
-    observed: Mutex<CostModel>,
-    progress: Option<ProgressMeter>,
-    heartbeat_ms: u64,
-    io_deadline_ms: u64,
-    faults: FaultPlan,
 }
 
-impl ProcessBackend {
+impl Remote<Spawn> {
     /// A backend that spawns `workers` subprocesses (`0` = available parallelism), each
     /// re-invoking the current executable in `--worker` mode with one thread. The current
     /// executable is the right command when the caller *is* the `sweep` binary; library
@@ -139,82 +80,58 @@ impl ProcessBackend {
     /// Like [`ProcessBackend::new`] with an explicit worker command line (program + leading
     /// arguments; `--worker --threads T` is appended at spawn time).
     pub fn with_command(workers: usize, command: impl Into<Vec<String>>) -> Self {
-        ProcessBackend {
+        let spawn = Spawn {
             workers: pool::resolve_worker_count(workers),
             worker_threads: 1,
             command: command.into(),
-            observed: Mutex::new(CostModel::new()),
-            progress: None,
-            heartbeat_ms: 500,
-            io_deadline_ms: DEFAULT_IO_DEADLINE_MS,
-            faults: FaultPlan::from_env_lossy(),
-        }
+        };
+        Remote::over(spawn, 1)
     }
 
-    /// Sets how many threads each worker process runs its stripe with (`0` = the worker
-    /// machine's available parallelism; default 1 — process-level parallelism usually wants
-    /// single-threaded workers).
+    /// Sets how many threads each worker process runs its stripe with, and the in-process
+    /// rescue path with it (`0` = available parallelism; default 1 — process-level
+    /// parallelism usually wants single-threaded workers).
     pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = threads;
+        self.transport.worker_threads = threads;
+        self.rescue_threads = threads;
         self
     }
+}
 
-    /// Attaches a live progress meter: workers are asked for heartbeats, and both result
-    /// lines and heartbeat records update the per-worker throughput display.
-    pub fn progress(mut self, meter: ProgressMeter) -> Self {
-        self.progress = Some(meter);
-        self
+/// One spawned worker mid-dispatch: the child, its line channel, and the pipe threads.
+pub struct SpawnLink {
+    child: ReapGuard,
+    lines: mpsc::Receiver<std::io::Result<String>>,
+    window: Duration,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<Result<(), String>>,
+    stderr: Option<JoinHandle<()>>,
+    stderr_tail: Arc<Mutex<VecDeque<String>>>,
+}
+
+impl Transport for Spawn {
+    type Link = SpawnLink;
+    const NAME: &'static str = "process";
+
+    fn slots(&self) -> usize {
+        self.workers
     }
 
-    /// Sets the worker heartbeat interval (default 500ms; only used when telemetry is on).
-    pub fn heartbeat_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_ms = ms.max(1);
-        self
+    fn label(&self, slot: usize) -> String {
+        format!("worker {slot}")
     }
 
-    /// Sets the I/O liveness deadline in milliseconds (default 600000): a worker whose
-    /// stream stays silent this long — including one that never reads its stdin — is
-    /// declared dead and its missing cells are rescued. When heartbeats flow, the
-    /// effective window shrinks to a few heartbeat intervals ([`super::liveness_window`]).
-    pub fn io_deadline_ms(mut self, ms: u64) -> Self {
-        self.io_deadline_ms = ms.max(1);
-        self
-    }
-
-    /// Sets the deterministic fault-injection plan (default: the `LOCAL_FAULTS`
-    /// environment script). Clauses scoped to worker `i` are forwarded into that worker's
-    /// environment; `refuse` clauses fail the spawn parent-side.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Whether to ask workers for telemetry, and at what interval: yes when a progress
-    /// meter is attached or the coordinator's own obs layer is recording.
-    fn telemetry_interval(&self) -> Option<u64> {
-        (self.progress.is_some() || local_obs::is_enabled()).then_some(self.heartbeat_ms)
-    }
-
-    /// Dispatches one stripe to one worker subprocess. Returns the indices (into the
-    /// stripe) of the cells that still need a result, plus a description of what went wrong
-    /// when the stream could not be fully trusted.
-    fn run_stripe(
+    fn open(
         &self,
-        worker: usize,
+        slot: usize,
         stripe: &CellShard,
-        parent_indices: &[usize],
-        emit: &EmitFn,
-    ) -> Result<(), (Vec<usize>, String)> {
-        let all = || (0..stripe.cells.len()).collect::<Vec<usize>>();
+        dispatch: &Dispatch,
+    ) -> Result<(SpawnLink, u64), String> {
         if self.command.is_empty() {
-            return Err((all(), "no worker command (current_exe unavailable)".into()));
+            return Err("no worker command (current_exe unavailable)".into());
         }
-        let refusals = self.faults.refuse_connects(worker);
-        if refusals > 0 {
-            // The process backend has no reconnect loop, so any scripted refusal fails the
-            // whole stripe (the network backend retries through its backoff instead).
-            local_obs::counter_add(local_obs::metrics::FAULTS_INJECTED, 1);
-            return Err((all(), format!("fault-injected spawn refusal (refuse*{refusals})")));
+        if (dispatch.refuse)() {
+            return Err("fault-injected spawn refusal".into());
         }
         let mut command = Command::new(&self.command[0]);
         command
@@ -224,13 +141,12 @@ impl ProcessBackend {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        let telemetry = self.telemetry_interval();
-        if let Some(ms) = telemetry {
+        if let Some(ms) = dispatch.telemetry {
             command.args(["--telemetry", &ms.to_string()]);
         }
         // Fault clauses scoped to this worker travel in its environment; everyone else
         // gets the variable scrubbed so a scripted parent cannot leak faults downstream.
-        let worker_faults = self.faults.for_worker(worker);
+        let worker_faults = dispatch.faults.for_worker(slot);
         if worker_faults.is_empty() {
             command.env_remove("LOCAL_FAULTS");
         } else {
@@ -239,25 +155,22 @@ impl ProcessBackend {
         // Worker span timestamps are relative to the worker's own start; record the spawn
         // time so the final span dump can be rebased onto the coordinator's timeline.
         let spawn_offset = local_obs::now_micros();
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e) => return Err((all(), format!("cannot spawn worker: {e}"))),
-        };
+        let mut child = command.spawn().map_err(|e| format!("cannot spawn worker: {e}"))?;
 
         // Take the pipes before the child moves behind the reap guard.
         let child_stdin = child.stdin.take();
         let child_stdout = child.stdout.take().expect("stdout was piped");
         let child_stderr = child.stderr.take();
-        let mut child = ReapGuard::new(child);
+        let child = ReapGuard { child: Some(child) };
 
         // Drain stderr on a dedicated thread: re-emit each line prefixed with the worker
         // id, and keep a short tail for the failure reason. The thread ends at pipe EOF.
         let stderr_tail = Arc::new(Mutex::new(VecDeque::<String>::new()));
-        let stderr_thread = child_stderr.map(|stderr| {
+        let stderr = child_stderr.map(|stderr| {
             let tail = Arc::clone(&stderr_tail);
             std::thread::spawn(move || {
                 for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-                    eprintln!("[worker {worker}] {line}");
+                    eprintln!("[worker {slot}] {line}");
                     let mut tail = tail.lock().expect("stderr tail poisoned");
                     if tail.len() == STDERR_TAIL {
                         tail.pop_front();
@@ -266,184 +179,93 @@ impl ProcessBackend {
                 }
             })
         });
-        let worker_label = format!("worker {worker}");
 
         // Ship the stripe from a dedicated writer thread: a worker that never reads its
-        // stdin can no longer wedge the dispatcher on `write_all` — the read loop's
-        // liveness deadline fires instead, the child is killed, and the broken pipe
-        // unblocks this thread for the join below.
+        // stdin cannot wedge the dispatcher on `write_all` — the liveness deadline fires
+        // instead, the child is killed, and the broken pipe unblocks this thread.
         let shipped = serde_json::to_string(stripe).expect("shard serializes");
-        let writer_thread = std::thread::spawn(move || -> Result<(), String> {
+        let writer = std::thread::spawn(move || -> Result<(), String> {
             match child_stdin {
                 Some(mut stdin) => stdin.write_all(shipped.as_bytes()).map_err(|e| e.to_string()),
                 None => Err("stdin was not piped".into()),
             }
         });
 
-        // Read the stream on a dedicated thread too, so the verification loop can enforce
-        // the liveness deadline with `recv_timeout` (pipes have no native read timeout).
-        let (line_tx, line_rx) = mpsc::channel::<std::io::Result<String>>();
-        let reader_thread = std::thread::spawn(move || {
+        // Read the stream on a dedicated thread too, so `next_line` can enforce the
+        // liveness deadline with `recv_timeout` (pipes have no native read timeout).
+        let (line_tx, lines) = mpsc::channel::<std::io::Result<String>>();
+        let reader = std::thread::spawn(move || {
             for line in BufReader::new(child_stdout).lines() {
                 if line_tx.send(line).is_err() {
                     break;
                 }
             }
         });
+        let link = SpawnLink {
+            child,
+            lines,
+            window: dispatch.window,
+            reader,
+            writer,
+            stderr,
+            stderr_tail,
+        };
+        Ok((link, spawn_offset))
+    }
 
-        let deadline = liveness_window(Duration::from_millis(self.io_deadline_ms), telemetry);
-        let mut stream = StripeStream::new(stripe, worker_label, spawn_offset);
-        let mut failure = None;
-        loop {
-            match line_rx.recv_timeout(deadline) {
-                Ok(Ok(line)) => {
-                    let mut accept = |index: usize, result| emit(parent_indices[index], result);
-                    match stream.consume(&line, self.progress.as_ref(), &mut accept) {
-                        Ok(LineOutcome::Progress) => {}
-                        Ok(LineOutcome::Finished) => break,
-                        Err(reason) => {
-                            failure = Some(reason);
-                            break;
-                        }
-                    }
-                }
-                Ok(Err(e)) => {
-                    failure = Some(format!("stream read error: {e}"));
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    failure = Some("stream truncated before the sentinel".into());
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    failure = Some(format!(
-                        "liveness deadline exceeded ({}ms without a line — wedged worker?)",
-                        deadline.as_millis()
-                    ));
-                    break;
-                }
-            }
+    fn next_line(&self, link: &mut SpawnLink) -> Result<Option<String>, String> {
+        match link.lines.recv_timeout(link.window) {
+            Ok(Ok(line)) => Ok(Some(line)),
+            Ok(Err(e)) => Err(format!("stream read error: {e}")),
+            Err(RecvTimeoutError::Disconnected) => Ok(None),
+            Err(RecvTimeoutError::Timeout) => Err(format!(
+                "liveness deadline exceeded ({}ms without a line — wedged worker?)",
+                link.window.as_millis()
+            )),
         }
-        if failure.is_none() {
-            failure = stream.verify_completion().err();
-        }
+    }
 
+    fn close(&self, _: usize, link: SpawnLink, mut failure: Option<String>) -> Option<String> {
+        let SpawnLink { mut child, lines, reader, writer, stderr, stderr_tail, .. } = link;
         if failure.is_some() {
             // Stop trusting the worker entirely: kill it so a blocked writer cannot stall
-            // the wait below, then re-run whatever is missing.
+            // the wait below.
             child.kill();
         }
         let status = child.wait();
-        drop(line_rx);
+        drop(lines);
         if failure.is_none() {
-            // The worker finished cleanly, so its pipes have hit EOF; join the tails.
-            let _ = reader_thread.join();
-            let write_result = writer_thread.join().unwrap_or(Err("writer thread panicked".into()));
-            if let Some(thread) = stderr_thread {
+            // The worker finished cleanly, so its pipes have hit EOF; join the threads.
+            let _ = reader.join();
+            let written = writer.join().unwrap_or(Err("writer thread panicked".into()));
+            if let Some(thread) = stderr {
                 let _ = thread.join();
             }
-            if let Err(e) = write_result {
-                failure = Some(format!("cannot ship the stripe over stdin: {e}"));
-            }
-        } else {
-            // A killed worker may have forked grandchildren (e.g. `sh -c` wrappers) that
-            // inherited the pipe write ends and outlive the kill; joining would wait them
-            // out. Detach instead — the threads end at true EOF, and every byte that
-            // matters was already refused above.
-            drop(reader_thread);
-            drop(writer_thread);
-            drop(stderr_thread);
+            failure = match (written, status) {
+                (Err(e), _) => Some(format!("cannot ship the stripe over stdin: {e}")),
+                (Ok(()), Ok(status)) if status.success() => None,
+                (Ok(()), Ok(status)) => Some(format!("worker exited with {status}")),
+                (Ok(()), Err(e)) => Some(format!("cannot wait for worker: {e}")),
+            };
         }
-        if failure.is_none() {
-            match status {
-                Ok(status) if status.success() => {}
-                Ok(status) => failure = Some(format!("worker exited with {status}")),
-                Err(e) => failure = Some(format!("cannot wait for worker: {e}")),
-            }
+        // A killed worker may have forked grandchildren (e.g. `sh -c` wrappers) that
+        // inherited the pipe write ends and outlive the kill; joining would wait them out.
+        // The failure path therefore never joins the pipe threads: dropping their handles
+        // detaches them — they end at true EOF, and every byte that matters was refused.
+        let mut reason = failure?;
+        let tail = stderr_tail.lock().expect("stderr tail poisoned");
+        if !tail.is_empty() {
+            reason.push_str("; last stderr: ");
+            reason.push_str(&tail.iter().cloned().collect::<Vec<_>>().join(" | "));
         }
-
-        match failure {
-            None => {
-                // Fully trusted stream: merge the worker's observation sums home.
-                if let Some(observations) =
-                    stream.sentinel_observations().map(observations_from_value)
-                {
-                    let mut observed = self.observed.lock().expect("cost observations poisoned");
-                    for (problem, family, obs, pred) in observations.unwrap_or_default() {
-                        observed.observe_group(&problem, &family, obs, pred);
-                    }
-                }
-                Ok(())
-            }
-            Some(mut reason) => {
-                // The sentinel's sums are gone with the worker, but the verified cells
-                // stand in the report — so their line-observed calibration stands too (the
-                // fallback separately observes whatever it re-runs).
-                self.observed
-                    .lock()
-                    .expect("cost observations poisoned")
-                    .merge(&stream.line_observed);
-                let tail = stderr_tail.lock().expect("stderr tail poisoned");
-                if !tail.is_empty() {
-                    reason.push_str("; last stderr: ");
-                    reason.push_str(&tail.iter().cloned().collect::<Vec<_>>().join(" | "));
-                }
-                Err((stream.missing(), reason))
-            }
-        }
-    }
-}
-
-impl ExecBackend for ProcessBackend {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.workers
-    }
-
-    fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        if shard.cells.is_empty() {
-            return;
-        }
-        let stripes = shard.stripe(self.workers);
-        std::thread::scope(|scope| {
-            for (worker, (stripe, parent_indices)) in stripes.iter().enumerate() {
-                scope.spawn(move || {
-                    if let Err((missing, reason)) =
-                        self.run_stripe(worker, stripe, parent_indices, emit)
-                    {
-                        eprintln!(
-                            "sweep process backend: worker failed ({reason}); re-running {} \
-                             cells in-process",
-                            missing.len()
-                        );
-                        super::rescue_missing(
-                            stripe,
-                            &missing,
-                            self.worker_threads,
-                            &self.observed,
-                            &|k, result| emit(parent_indices[missing[k]], result),
-                        );
-                    }
-                });
-            }
-        });
-    }
-
-    fn calibration(&self) -> CostModel {
-        let mut out = CostModel::new();
-        out.merge(&self.observed.lock().expect("cost observations poisoned"));
-        out
+        Some(reason)
     }
 }
 
 /// Serves one worker invocation: parse the shard on `input`, execute it with an
 /// [`InProcessBackend`], and stream result lines plus the observation-carrying sentinel to
-/// `out`. This *is* `sweep --worker`; it lives here so both sides of the protocol share one
-/// module (the `--serve` TCP daemon reuses the same serving core through
-/// [`super::network`]). Errors (bad shard, version skew) are returned for the binary to
+/// `out`. This *is* `sweep --worker` (the `--serve` TCP daemon reuses the same serving core
+/// through [`super::serve_forever`]). Errors (bad shard, version skew) are returned for the binary to
 /// print and turn into a nonzero exit, which the parent detects as a shard failure.
 ///
 /// `telemetry_ms` is the parent's `--telemetry` request: `Some(interval)` turns the obs
@@ -627,19 +449,10 @@ pub(super) fn observations_from_value(
         .collect()
 }
 
-/// Adapter rendering a raw [`Value`] through the serde stub (which serializes `Serialize`
-/// types, not `Value`s directly).
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::stream::accept_result;
+    use super::super::FaultPlan;
     use super::*;
     use crate::registry::workload;
     use crate::scenario::Scenario;

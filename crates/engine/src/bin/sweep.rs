@@ -56,8 +56,8 @@
 //! the framing and `local_engine::backend::coordinator` for the job protocol.
 
 use local_engine::backend::{
-    coordinate_forever, serve_forever, worker_serve, CoordinatorBackend, CoordinatorConfig,
-    FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
+    coordinate_forever, serve_forever, worker_serve, CoordinatorConfig, FaultInjector, FaultPlan,
+    InProcessBackend, NetworkBackend, ProcessBackend,
 };
 use local_engine::{
     default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
@@ -284,11 +284,11 @@ USAGE:
                flags that configure it) straight from the registries, then exit.
 
   --backend    in-process (default): the work-stealing thread pool. process: fan the sweep
-               out to worker subprocesses over the serialized shard protocol; a failed
-               worker's cells are re-run in-process, never lost. network: stripe the sweep
-               over persistent `sweep --serve ADDR` daemons (--connect) with reconnect
-               backoff, heartbeat liveness, re-dispatch to healthy peers, and the same
-               in-process rescue of last resort — byte-identical reports either way.
+               out to worker subprocesses over the serialized shard protocol. network:
+               stripe the sweep over persistent `sweep --serve ADDR` daemons (--connect)
+               with reconnect backoff. Both remote kinds share heartbeat liveness,
+               re-dispatch of a failed worker's cells to a healthy one, and in-process
+               rescue of last resort — byte-identical reports either way.
   --threads    worker threads; 0 = available parallelism. Under --backend process, each
                worker process's thread count (default 1); under --backend network, the
                in-process rescue path's thread count (default 0).
@@ -925,25 +925,21 @@ fn main() -> ExitCode {
             }
             sweep.backend(backend)
         }
-        BackendKind::Network => {
-            let mut backend = NetworkBackend::new(args.connect.clone())
+        BackendKind::Network | BackendKind::Coordinator => {
+            // A coordinator speaks the daemon protocol: submitting is the network backend
+            // pointed at that one peer, naming its client.
+            let (peers, client) = match args.backend {
+                BackendKind::Coordinator => (
+                    vec![args.submit.clone().expect("--submit checked at parse")],
+                    args.client.clone(),
+                ),
+                _ => (args.connect.clone(), None),
+            };
+            let mut backend = NetworkBackend::new(peers)
                 .rescue_threads(args.threads.unwrap_or(0))
                 .faults(fault_plan.clone());
-            if let Some(ms) = args.io_deadline_ms {
-                backend = backend.io_deadline_ms(ms);
-            }
-            if let Some(meter) = &meter {
-                backend = backend.progress(meter.clone());
-            }
-            sweep.backend(backend)
-        }
-        BackendKind::Coordinator => {
-            let mut backend =
-                CoordinatorBackend::new(args.submit.clone().expect("--submit checked at parse"))
-                    .rescue_threads(args.threads.unwrap_or(0))
-                    .faults(fault_plan.clone());
-            if let Some(name) = &args.client {
-                backend = backend.client(name.clone());
+            if let Some(name) = client {
+                backend = backend.client(name);
             }
             if let Some(ms) = args.io_deadline_ms {
                 backend = backend.io_deadline_ms(ms);

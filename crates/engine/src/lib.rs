@@ -21,9 +21,10 @@
 //!   aside).
 //! * [`backend`] — *how cells become results*: the [`ExecBackend`] trait, the
 //!   [`InProcessBackend`] work-stealing pool ([`pool`]) with its instance cache keyed by
-//!   [`local_graphs::InstanceKey`], and the [`ProcessBackend`] that fans serialized
-//!   [`CellShard`]s out to `sweep --worker` subprocesses and merges their result streams
-//!   (re-running in-process whatever a failed worker leaves behind).
+//!   [`local_graphs::InstanceKey`], and one remote runner that fans serialized
+//!   [`CellShard`]s out to `sweep --worker` subprocesses ([`ProcessBackend`]) or TCP
+//!   daemons ([`NetworkBackend`]) and merges their result streams (re-dispatching or
+//!   re-running in-process whatever a failed worker leaves behind).
 //! * [`store`] — persistence behind the [`ResultStore`] trait: the [`BinaryStore`] (the
 //!   `local-store` append-only segmented store) serves and absorbs cells for every
 //!   backend, and answers columnar probes so streamed summaries fold without
@@ -71,8 +72,8 @@ pub mod workloads;
 mod cache;
 
 pub use backend::{
-    CellShard, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, ExecBackend,
-    FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
+    CellShard, CoordinatorConfig, CoordinatorServer, ExecBackend, FaultInjector, FaultPlan,
+    InProcessBackend, NetworkBackend, ProcessBackend,
 };
 pub use cost::CostModel;
 pub use progress::ProgressMeter;

@@ -7,7 +7,9 @@
 //!   stand, the remainder is re-dispatched to the healthy peer;
 //! * refused connections retry through the capped backoff and recover;
 //! * an unreachable fleet degrades all the way to in-process rescue;
-//! * every degradation increments the observable resilience counters.
+//! * every degradation increments the observable resilience counters;
+//! * a request line past the daemon's cap is refused with one error line, and the daemon
+//!   keeps serving everyone else.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
@@ -15,7 +17,8 @@
 use local_engine::backend::{FaultPlan, NetworkBackend};
 use local_engine::{run_grid, workload, Report, ScenarioGrid, Sweep, SweepConfig};
 use local_graphs::{family, Family};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 
@@ -284,4 +287,35 @@ fn a_dead_peer_in_a_fleet_shifts_its_stripe_to_the_living() {
         )
         .run();
     assert_reports_identical(&reference, &candidate, "half-dead fleet");
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let _guard = SERIAL.lock().unwrap();
+    let grid = demo_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    let daemon = Daemon::spawn(None);
+    // One byte past the daemon's 64 MiB request-line cap, and no newline.
+    const CAP: usize = 64 << 20;
+    let mut hostile = TcpStream::connect(&daemon.addr).expect("connects to the daemon");
+    hostile.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..CAP / chunk.len() {
+        hostile.write_all(&chunk).expect("the daemon reads up to its cap");
+    }
+    hostile.write_all(b"x").expect("the daemon reads the byte past its cap");
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the daemon answers");
+    let reply = serde_json::from_str(line.trim()).expect("the answer is one JSON line");
+    assert_eq!(
+        reply.get("error").and_then(serde_json::Value::as_str),
+        Some(format!("request line exceeds {CAP} bytes").as_str())
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("a clean close"), 0, "the daemon hangs up");
+
+    let candidate =
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
+    assert_reports_identical(&reference, &candidate, "after a hostile client");
 }

@@ -15,8 +15,8 @@
 //! counters are process-global and the test harness runs tests concurrently.
 
 use local_engine::{
-    run_grid, workload, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, Report,
-    ScenarioGrid, Sweep, SweepConfig,
+    run_grid, workload, CoordinatorConfig, CoordinatorServer, NetworkBackend, Report, ScenarioGrid,
+    Sweep, SweepConfig,
 };
 use local_graphs::{family, Family};
 use serde::Serialize;
@@ -137,7 +137,7 @@ fn two_concurrent_clients_each_get_byte_identical_reports() {
         let addr = coordinator.clone();
         let name = name.to_string();
         thread::spawn(move || {
-            Sweep::over(&grid).backend(CoordinatorBackend::new(addr).client(name)).run()
+            Sweep::over(&grid).backend(NetworkBackend::new(vec![addr]).client(name)).run()
         })
     };
     let candidate_a = submit(grid_a.clone(), "alpha");
@@ -171,7 +171,7 @@ fn a_daemon_killed_mid_job_rescues_exactly_the_unverified_cells() {
     let coordinator = start_coordinator(vec![doomed.addr.clone()]);
     let (verified0, rescued0, _) = counters();
     let candidate =
-        Sweep::over(&grid).backend(CoordinatorBackend::new(coordinator).client("mourner")).run();
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![coordinator]).client("mourner")).run();
     assert_reports_identical(&reference, &candidate, "killed fleet");
     let (verified1, rescued1, _) = counters();
     assert_eq!(verified1 - verified0, 5, "the 5 cells served before the kill stand");
@@ -289,7 +289,7 @@ fn a_store_backed_coordinator_serves_repeat_submissions_without_the_fleet() {
 
     // First submission runs on the fleet; every fresh cell is written back to the store.
     let first = Sweep::over(&grid)
-        .backend(CoordinatorBackend::new(coordinator.clone()).client("first"))
+        .backend(NetworkBackend::new(vec![coordinator.clone()]).client("first"))
         .run();
     assert_reports_identical(&reference, &first, "first store-backed submission");
     assert_eq!(
@@ -303,7 +303,7 @@ fn a_store_backed_coordinator_serves_repeat_submissions_without_the_fleet() {
     drop(daemon);
     let (_, rescued0, _) = counters();
     let second =
-        Sweep::over(&grid).backend(CoordinatorBackend::new(coordinator).client("second")).run();
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![coordinator]).client("second")).run();
     assert_reports_identical(&reference, &second, "store-served submission");
     let (_, rescued1, _) = counters();
     assert_eq!(rescued1 - rescued0, 0, "store hits must not touch the rescue path");

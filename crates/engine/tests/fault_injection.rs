@@ -6,7 +6,7 @@
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
 
-use local_engine::backend::{FaultPlan, ProcessBackend};
+use local_engine::backend::{CellShard, FaultPlan, ProcessBackend};
 use local_engine::{run_grid, workload, Report, ScenarioGrid, Sweep, SweepConfig};
 use local_graphs::family;
 use std::sync::Mutex;
@@ -155,4 +155,25 @@ fn workers_that_never_read_stdin_hit_the_write_deadline_discipline() {
     );
     assert_reports_identical(&reference, &candidate, "wedged worker");
     assert_eq!(rescued() - before, grid.cell_count() as u64);
+}
+
+#[test]
+fn a_killed_workers_remainder_is_redispatched_to_the_healthy_worker() {
+    let _guard = SERIAL.lock().unwrap();
+    let grid = small_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    local_obs::enable();
+    let redispatched = || local_obs::counter_value(local_obs::metrics::REDISPATCHED_CELLS);
+    let (redispatched0, rescued0) = (redispatched(), rescued());
+    // Worker 0 dies right before its 4th result line; worker 1 finishes its own stripe, so
+    // stripe 0's unverified remainder goes to a fresh worker-1 child, not in-process.
+    let backend = ProcessBackend::with_command(2, vec![worker_bin()])
+        .faults(FaultPlan::parse("w0:kill@3").expect("test script parses"));
+    let candidate = Sweep::over(&grid).backend(backend).run();
+    assert_reports_identical(&reference, &candidate, "killed worker, healthy peer");
+    // Every instance of the grid carries two cells, so each stripe holds two instances
+    // whatever the cost order: stripe 0's length does not depend on it.
+    let stripe0 = CellShard::new(grid.base_seed, grid.cells()).stripe(2)[0].0.cells.len() as u64;
+    assert_eq!(redispatched() - redispatched0, stripe0 - 3, "the unverified remainder moves");
+    assert_eq!(rescued() - rescued0, 0, "a healthy worker leaves nothing to rescue");
 }
