@@ -102,6 +102,86 @@ pub fn linial_final_palette(id_bound: u64, delta: u64) -> u64 {
     palette
 }
 
+/// Upper bound (exclusive) on `q` for the exact reciprocal arithmetic of [`ModQ`].
+pub const EVAL_POLY_MAX_Q: u64 = 1 << 25;
+
+/// Precomputed reciprocal for **exact** arithmetic mod a small `q`, replacing each hardware
+/// division (~20–40 cycles) with a multiply and two fix-ups.
+///
+/// For `q <` [`EVAL_POLY_MAX_Q`] and operands below [`ModQ::MAX_OPERAND`] the `f64`
+/// quotient estimate is within ±1 of the true quotient (every product and the remainder
+/// stay exact integers below `2^53`), and the fix-ups make the result identical to the
+/// `%`/`/` operators — digits and digests are bit-identical to the integer reference.
+#[derive(Debug, Clone, Copy)]
+pub struct ModQ {
+    q: u64,
+    inv: f64,
+}
+
+impl ModQ {
+    /// Operand bound (exclusive) under which [`ModQ::div_rem`] is exact.
+    pub const MAX_OPERAND: u64 = 1 << 51;
+
+    /// Modulus bound (exclusive) under which two *unpaired* Horner steps can share one
+    /// reciprocal reduction: `q·(q+8)² + (q+8)·q + q < 2^51` holds for every `q < 2^16`.
+    pub const PAIR_MAX_Q: u64 = 1 << 16;
+
+    /// Precomputes the reciprocal of `q` (`2 <= q <` [`EVAL_POLY_MAX_Q`]).
+    #[inline]
+    pub fn new(q: u64) -> ModQ {
+        debug_assert!((2..EVAL_POLY_MAX_Q).contains(&q));
+        ModQ { q, inv: 1.0 / q as f64 }
+    }
+
+    /// Exact `(c / q, c % q)` for `c <` [`ModQ::MAX_OPERAND`].
+    #[inline]
+    pub fn div_rem(self, c: u64) -> (u64, u64) {
+        debug_assert!(c < ModQ::MAX_OPERAND);
+        // Quotient estimate within ±1 of floor(c / q); a wrapped-negative remainder marks
+        // an overshoot, a remainder >= q an undershoot.
+        let mut k = (c as f64 * self.inv) as u64;
+        let mut r = c.wrapping_sub(k * self.q);
+        if (r as i64) < 0 {
+            k -= 1;
+            r = r.wrapping_add(self.q);
+        } else if r >= self.q {
+            k += 1;
+            r -= self.q;
+        }
+        (k, r)
+    }
+
+    /// Exact Horner evaluation of the digit polynomial at one point `a < q + 8`
+    /// (little-endian digits, all `< q`). Leading zero digits leave the accumulator at
+    /// zero and are skipped.
+    ///
+    /// For `q <` [`ModQ::PAIR_MAX_Q`] two digits are folded per reduction — the unreduced
+    /// double step stays below [`ModQ::MAX_OPERAND`], so exactness is preserved while the
+    /// reciprocal work is halved.
+    #[inline]
+    pub fn eval_poly(self, coeffs: &[u64], a: u64) -> u64 {
+        let mut coeffs = coeffs;
+        while let Some((&0, rest)) = coeffs.split_last() {
+            coeffs = rest;
+        }
+        let mut acc = 0u64;
+        if self.q < ModQ::PAIR_MAX_Q {
+            let mut pairs = coeffs.rchunks_exact(2);
+            for pair in &mut pairs {
+                acc = self.div_rem((acc * a + pair[1]) * a + pair[0]).1;
+            }
+            if let [c] = pairs.remainder() {
+                acc = self.div_rem(acc * a + *c).1;
+            }
+            return acc;
+        }
+        for &c in coeffs.iter().rev() {
+            acc = self.div_rem(acc * a + c).1;
+        }
+        acc
+    }
+}
+
 /// Appends the coefficients (base-`q` digits) of a colour's polynomial of degree `<= d`.
 ///
 /// Stops dividing as soon as the colour is exhausted and pads with zeros: under a generous
@@ -109,7 +189,7 @@ pub fn linial_final_palette(id_bound: u64, delta: u64) -> u64 {
 /// digits are zero, and skipping their divisions is the hot-path win of the Linial step.
 #[cfg(test)]
 fn push_poly_digits(color: u64, d: u32, q: u64, out: &mut Vec<u64>) {
-    let modq = (q < local_simd::EVAL_POLY_MAX_Q).then(|| local_simd::ModQ::new(q));
+    let modq = (q < EVAL_POLY_MAX_Q).then(|| ModQ::new(q));
     push_poly_digits_with(color, d, q, modq, out);
 }
 
@@ -117,17 +197,11 @@ fn push_poly_digits(color: u64, d: u32, q: u64, out: &mut Vec<u64>) {
 /// splits inside one recolouring share a single `ModQ::new`. The reciprocal divisions are
 /// exact (same digits as `%`/`/`) within the `ModQ` operand bound; anything else falls back
 /// to hardware division.
-fn push_poly_digits_with(
-    color: u64,
-    d: u32,
-    q: u64,
-    modq: Option<local_simd::ModQ>,
-    out: &mut Vec<u64>,
-) {
+fn push_poly_digits_with(color: u64, d: u32, q: u64, modq: Option<ModQ>, out: &mut Vec<u64>) {
     let mut rest = color;
     let mut produced = 0u32;
     match modq {
-        Some(m) if color < local_simd::ModQ::MAX_OPERAND => {
+        Some(m) if color < ModQ::MAX_OPERAND => {
             while rest > 0 && produced <= d {
                 let (k, r) = m.div_rem(rest);
                 out.push(r);
@@ -156,6 +230,8 @@ fn color_to_poly(color: u64, d: u32, q: u64) -> Vec<u64> {
     coeffs
 }
 
+/// Horner evaluation of the digit polynomial at `a`, mod any `q` — the path for fields too
+/// large for [`ModQ`].
 fn eval_poly(coeffs: &[u64], a: u64, q: u64) -> u64 {
     // Leading zero coefficients leave a Horner accumulator at zero; skip their
     // multiply-and-reduce steps outright (the digit layout above makes them the common
@@ -163,20 +239,6 @@ fn eval_poly(coeffs: &[u64], a: u64, q: u64) -> u64 {
     let mut coeffs = coeffs;
     while let Some((&0, rest)) = coeffs.split_last() {
         coeffs = rest;
-    }
-    if q < (1 << 20) {
-        // Hot path: with q < 2^20 two unreduced Horner steps stay below q³ + q² + q < 2^62,
-        // so one division pays for two coefficients. This runs once per (evaluation point ×
-        // neighbour × node × Linial round) — the inner loop of the colouring attempts.
-        let mut acc: u64 = 0;
-        let mut chunks = coeffs.rchunks_exact(2);
-        for pair in &mut chunks {
-            acc = ((acc * a + pair[1]) * a + pair[0]) % q;
-        }
-        if let [c] = chunks.remainder() {
-            acc = (acc * a + *c) % q;
-        }
-        return acc;
     }
     if q < (1 << 32) {
         let mut acc: u64 = 0;
@@ -225,9 +287,8 @@ impl RecolorScratch {
     fn recolor(&mut self, my_color: u64, d: u32, q: u64) -> u64 {
         let stride = d as usize + 1;
         // Small-field fast path (the practical case): digit splits and Horner steps go
-        // through the exact reciprocal context, and my own digest is evaluated eight
-        // candidate points at a time by the dispatched block kernel.
-        let modq = (q + 7 < local_simd::EVAL_POLY_MAX_Q).then(|| local_simd::ModQ::new(q));
+        // through the exact reciprocal context.
+        let modq = (q < EVAL_POLY_MAX_Q).then(|| ModQ::new(q));
         // The digit split truncates at d + 1 digits, so two colours share a polynomial iff
         // they agree mod q^(d+1) (`None` = the power overflows u64 and nothing truncates).
         let poly_space = q.checked_pow(d + 1);
@@ -236,7 +297,7 @@ impl RecolorScratch {
             None => c == my_color,
         };
         let mod_q = |c: u64| match modq {
-            Some(m) if c < local_simd::ModQ::MAX_OPERAND => m.div_rem(c).1,
+            Some(m) if c < ModQ::MAX_OPERAND => m.div_rem(c).1,
             _ => c % q,
         };
         // a = 0: the digest is the lowest digit. A neighbour whose *whole polynomial*
@@ -258,17 +319,8 @@ impl RecolorScratch {
             }
         }
         if let Some(m) = modq {
-            // Block-of-8 kernel evaluation for my digest (amortized one dispatch per 8
-            // candidate points), reciprocal Horner for the (early-exiting) neighbour checks.
-            let mut block = [0u64; 8];
-            let mut block_base = u64::MAX;
             for a in 1..q {
-                let base = a & !7;
-                if base != block_base {
-                    block = local_simd::eval_poly_block8(&self.mine, base, q);
-                    block_base = base;
-                }
-                let val = block[(a - base) as usize];
+                let val = m.eval_poly(&self.mine, a);
                 let clash = self.others.chunks_exact(stride).any(|p| m.eval_poly(p, a) == val);
                 if !clash {
                     return a * q + val;

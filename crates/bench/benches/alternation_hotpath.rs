@@ -18,11 +18,9 @@
 //! counting global allocator asserts that repeated attempts (`execute_view` runs) on an
 //! unchanged configuration, with their executions recycled into the session, perform *zero*
 //! heap allocations — the init slab, program/output buffers, message arenas, and RNG tables
-//! are all served from the session's caches. A `kernels` group additionally times each
-//! `local-simd` kernel's portable scalar reference against its dispatched (SSE2/AVX2)
-//! implementation at cache-resident (10^4) and memory-streaming (10^6) sizes. It emits
-//! `BENCH_PR7.json` at the workspace root (wall micros per scenario and per kernel,
-//! plus the active dispatch level) to extend the cross-PR perf trajectory.
+//! are all served from the session's caches — once plain and once with the observability
+//! layer armed. It writes `target/alternation_hotpath.json` (wall micros per scenario and
+//! the counted steady-state allocations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use local_runtime::{
@@ -162,12 +160,6 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("alternation_hotpath");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
 
-    // Resolve the SIMD dispatch level once up front: the first dispatched call reads the
-    // `LOCAL_SIMD` override from the environment (which allocates), and the allocation-free
-    // proof below must observe the cached-level fast path the runtime actually runs with.
-    let dispatch_level = local_simd::init();
-    println!("  {}", local_simd::dispatch_report());
-
     let g = local_graphs::Family::SparseGnp.generate(10_000, 1);
     let inputs = vec![(); g.node_count()];
 
@@ -246,90 +238,7 @@ fn bench(c: &mut Criterion) {
     });
     group.finish();
 
-    // ---- Per-kernel microbenches: the portable scalar reference against the dispatched
-    // kernels (SSE2/AVX2 on x86_64, selected at startup above), at element counts
-    // bracketing the sweep's working sets (10^4 fits in cache, 10^6 streams from memory).
-    // Every pair computes identical results — enforced by `crates/simd`'s equivalence
-    // tests — so the comparison is pure throughput. ----
-    let mut kernels = c.benchmark_group("kernels");
-    kernels.sample_size(10).measurement_time(Duration::from_secs(2));
-    let mut kernel_json = String::new();
-    for &len in &[10_000usize, 1_000_000] {
-        let samples: u32 = if len <= 10_000 { 400 } else { 20 };
-        let stamps: Vec<u64> =
-            (0..len as u64).map(|i| if i.is_multiple_of(3) { 42 } else { i + 100 }).collect();
-        let mask: Vec<bool> = (0..len).map(|i| !i.is_multiple_of(17)).collect();
-        let nodes: Vec<usize> = (0..len).collect();
-        let q = 1_000_003u64; // prime < 2^25: the reciprocal block-Horner regime
-        let coeffs: Vec<u64> = (0..8u64).map(|i| (i * 2_654_435_761) % q).collect();
-        // (name, scalar closure, dispatched closure) triples, erased to u64 so one loop
-        // can time and register them all.
-        type KernelFn<'a> = Box<dyn FnMut() -> u64 + 'a>;
-        let mut pairs: Vec<(&str, KernelFn<'_>, KernelFn<'_>)> = vec![
-            (
-                "stamp_match_count",
-                Box::new(|| local_simd::scalar::stamp_match_count(&stamps, 42) as u64),
-                Box::new(|| local_simd::stamp_match_count(&stamps, 42) as u64),
-            ),
-            (
-                "mask_count_true",
-                Box::new(|| local_simd::scalar::mask_count_true(&mask) as u64),
-                Box::new(|| local_simd::mask_count_true(&mask) as u64),
-            ),
-            {
-                let (nodes, mask) = (&nodes, &mask);
-                let mut a: Vec<usize> = Vec::with_capacity(len);
-                let mut b: Vec<usize> = Vec::with_capacity(len);
-                (
-                    // Includes an identical refill of the scratch vec on both sides.
-                    "compact_marked",
-                    Box::new(move || {
-                        a.clear();
-                        a.extend_from_slice(nodes);
-                        local_simd::scalar::compact_marked(&mut a, mask);
-                        a.len() as u64
-                    }),
-                    Box::new(move || {
-                        b.clear();
-                        b.extend_from_slice(nodes);
-                        local_simd::compact_marked(&mut b, mask);
-                        b.len() as u64
-                    }),
-                )
-            },
-            (
-                "eval_poly_block8",
-                Box::new(|| {
-                    (0..len as u64 / 8)
-                        .map(|i| local_simd::scalar::eval_poly_block8(&coeffs, i * 8, q)[7])
-                        .sum()
-                }),
-                Box::new(|| {
-                    (0..len as u64 / 8)
-                        .map(|i| local_simd::eval_poly_block8(&coeffs, i * 8, q)[7])
-                        .sum()
-                }),
-            ),
-        ];
-        for (name, scalar, dispatched) in &mut pairs {
-            assert_eq!(scalar(), dispatched(), "{name}: scalar and dispatched disagree");
-            kernels.bench_function(format!("{name}_scalar_n{len}"), |b| {
-                b.iter(|| criterion::black_box(scalar()))
-            });
-            kernels.bench_function(format!("{name}_dispatched_n{len}"), |b| {
-                b.iter(|| criterion::black_box(dispatched()))
-            });
-            let scalar_us = mean_micros(samples, &mut *scalar);
-            let dispatched_us = mean_micros(samples, &mut *dispatched);
-            kernel_json.push_str(&format!(
-                ",\n  \"kernel_{name}_n{len}_scalar_micros\": {scalar_us},\n  \
-                 \"kernel_{name}_n{len}_dispatched_micros\": {dispatched_us}"
-            ));
-        }
-    }
-    kernels.finish();
-
-    // ---- BENCH_PR7.json: extend the cross-PR perf trajectory with wall times. ----
+    // ---- Wall times of both scenarios on both paths, as one JSON record. ----
     let mut session = Session::new();
     let view_session_ps = mean_micros(5, || ps.solve_in(&g, &inputs, 7, &mut session).rounds);
     let rebuild_ps = mean_micros(3, || ps_reference.solve_rebuild(&g, &inputs, 7).rounds);
@@ -339,15 +248,13 @@ fn bench(c: &mut Criterion) {
         mean_micros(3, || coloring_reference.solve_rebuild(&g, &inputs, 7).rounds);
     let json = format!(
         "{{\n  \"bench\": \"alternation_hotpath\",\n  \"n\": 10000,\n  \
-         \"simd_dispatch\": \"{}\",\n  \
          \"steady_state_attempt_allocations\": {steady_state_allocations},\n  \
          \"view_session_ps_mis_micros\": {view_session_ps},\n  \
          \"rebuild_reference_ps_mis_micros\": {rebuild_ps},\n  \
          \"view_session_coloring_mis_micros\": {view_session_coloring},\n  \
-         \"rebuild_reference_coloring_mis_micros\": {rebuild_coloring}{kernel_json}\n}}\n",
-        dispatch_level.name()
+         \"rebuild_reference_coloring_mis_micros\": {rebuild_coloring}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR7.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/alternation_hotpath.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("  wrote {path}"),
         Err(e) => eprintln!("  cannot write {path}: {e}"),

@@ -114,6 +114,19 @@ fn parse_count(flag: &str, text: &str) -> Result<usize, String> {
     text.parse().map_err(|e| format!("bad {flag}: {e} (0 means available parallelism)"))
 }
 
+/// The parsed value after `flag` in the arguments of a mode dispatched before
+/// [`parse_args`] (worker, daemon, coordinator): `None` if the flag or its value is absent,
+/// a `bad FLAG` error if the value does not parse.
+fn raw_flag<T: std::str::FromStr>(raw: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    match raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1)) {
+        Some(text) => text.parse().map(Some).map_err(|e| format!("bad {flag}: {e}")),
+        None => Ok(None),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         problems: vec![local_engine::workload("mis")],
@@ -353,42 +366,44 @@ EXAMPLE:
   sweep --problems mis,matching --families sparse-gnp,tree --sizes 100..1600 \\
         --seeds 32 --backend process --workers 8 --out results.json";
 
+/// The exit status of a mode dispatched before [`parse_args`]: a failure prints one
+/// `sweep MODE: message` line and exits nonzero.
+fn mode_exit(mode: &str, result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("sweep {mode}: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// The hidden `--worker` mode: serve one shard over the stdin/stdout protocol and exit.
 /// Any error lands on stderr with a nonzero exit, which the parent treats as a shard
 /// failure and absorbs in-process. Stream faults scripted into this process's
 /// `LOCAL_FAULTS` (the parent forwards per-worker clauses) are executed here.
-fn worker_main(threads: usize, telemetry_ms: Option<u64>) -> ExitCode {
+fn worker_main(raw: &[String]) -> Result<(), String> {
+    let threads = raw_flag(raw, "--threads")?.unwrap_or(1);
+    let telemetry_ms = raw_flag(raw, "--telemetry")?;
     let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("sweep --worker: cannot read shard from stdin: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::io::stdin()
+        .read_to_string(&mut input)
+        .map_err(|e| format!("cannot read shard from stdin: {e}"))?;
     let faults = FaultInjector::from_env_lossy();
-    let mut stdout = std::io::stdout();
-    match worker_serve(&input, threads, telemetry_ms, &faults, &mut stdout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --worker: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    worker_serve(&input, threads, telemetry_ms, &faults, &mut std::io::stdout())
 }
 
 /// The `--serve` mode: a persistent worker daemon on a TCP address, the receiving end of
 /// `--backend network`. Runs until killed.
-fn serve_main(addr: &str, threads: usize, max_concurrent: usize) -> ExitCode {
-    match serve_forever(addr, threads, max_concurrent) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --serve: {message}");
-            ExitCode::FAILURE
-        }
-    }
+fn serve_main(raw: &[String], addr: &str) -> Result<(), String> {
+    let threads = raw_flag(raw, "--threads")?.unwrap_or(0);
+    let max_concurrent = raw_flag(raw, "--max-concurrent-shards")?.unwrap_or(0);
+    serve_forever(addr, threads, max_concurrent)
 }
 
 /// The `--coordinate` mode: a multi-client scheduling service over a `--connect` daemon
 /// fleet. Runs until killed.
-fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
+fn coordinate_main(raw: &[String], addr: &str) -> Result<(), String> {
     let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
     let mut config = CoordinatorConfig {
         fleet: get("--connect")
@@ -396,33 +411,23 @@ fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
             .unwrap_or_default(),
         ..CoordinatorConfig::default()
     };
-    if let Some(n) = get("--threads").and_then(|v| v.parse().ok()) {
+    if let Some(n) = raw_flag(raw, "--threads")? {
         config.rescue_threads = n;
     }
-    if let Some(ms) = get("--io-deadline-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = raw_flag(raw, "--io-deadline-ms")? {
         config.io_deadline_ms = ms;
     }
-    if let Some(n) = get("--stripes-per-peer").and_then(|v| v.parse::<usize>().ok()) {
+    if let Some(n) = raw_flag::<usize>(raw, "--stripes-per-peer")? {
         config.stripes_per_peer = n.max(1);
     }
     config.faults = match get("--faults") {
-        Some(script) => match FaultPlan::parse(script) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("sweep --coordinate: bad --faults: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(script) => FaultPlan::parse(script).map_err(|e| format!("bad --faults: {e}"))?,
         None => FaultPlan::from_env_lossy(),
     };
     if let Some(dir) = get("--store") {
-        match BinaryStore::open(dir) {
-            Ok(store) => config.store = Some(Arc::new(store)),
-            Err(e) => {
-                eprintln!("sweep --coordinate: cannot open --store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let store =
+            BinaryStore::open(dir).map_err(|e| format!("cannot open --store {dir}: {e}"))?;
+        config.store = Some(Arc::new(store));
     }
     // The coordinator always arms observability: per-client accounting gauges are part of
     // its contract, not an opt-in.
@@ -434,13 +439,7 @@ fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
              in-process"
         );
     }
-    match coordinate_forever(addr, config) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --coordinate: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    coordinate_forever(addr, config)
 }
 
 /// Why one JSON cache entry was not imported into the binary store.
@@ -729,11 +728,10 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
     let order = model.order_slowest_first(&cells, missed);
     println!(
         "dry-run: {} cells, {} served from cache (they calibrate the cost model), {} to \
-         execute in LPT (slowest-first) order [{}]:",
+         execute in LPT (slowest-first) order:",
         cells.len(),
         cached,
-        order.len(),
-        local_simd::dispatch_report()
+        order.len()
     );
     println!("{:>5} {:>16}  cell", "rank", "predicted-us");
     let mut total = 0.0;
@@ -769,44 +767,21 @@ fn main() -> ExitCode {
         return store_main(&raw[1..]);
     }
     if raw.iter().any(|a| a == "--worker") {
-        let threads = raw
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let telemetry_ms = raw
-            .iter()
-            .position(|a| a == "--telemetry")
-            .and_then(|i| raw.get(i + 1))
-            .and_then(|v| v.parse().ok());
-        return worker_main(threads, telemetry_ms);
+        return mode_exit("--worker", worker_main(&raw));
     }
     if let Some(i) = raw.iter().position(|a| a == "--serve") {
         let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {
             eprintln!("sweep --serve: missing bind address (try --serve 127.0.0.1:0)");
             return ExitCode::FAILURE;
         };
-        let threads = raw
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|j| raw.get(j + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let max_concurrent = raw
-            .iter()
-            .position(|a| a == "--max-concurrent-shards")
-            .and_then(|j| raw.get(j + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        return serve_main(addr, threads, max_concurrent);
+        return mode_exit("--serve", serve_main(&raw, addr));
     }
     if let Some(i) = raw.iter().position(|a| a == "--coordinate") {
         let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {
             eprintln!("sweep --coordinate: missing bind address (try --coordinate 127.0.0.1:0)");
             return ExitCode::FAILURE;
         };
-        return coordinate_main(&raw, addr);
+        return mode_exit("--coordinate", coordinate_main(&raw, addr));
     }
 
     let args = match parse_args() {
@@ -887,14 +862,13 @@ fn main() -> ExitCode {
         ),
     };
     eprintln!(
-        "sweep: {} cells ({} problems × {} families × {} sizes × {} seeds), {}, {}",
+        "sweep: {} cells ({} problems × {} families × {} sizes × {} seeds), {}",
         grid.cell_count(),
         grid.problems.len(),
         grid.families.len(),
         grid.sizes.len(),
         grid.replicates,
-        backend_label,
-        local_simd::dispatch_report()
+        backend_label
     );
 
     let meter = args.progress.then(ProgressMeter::new);

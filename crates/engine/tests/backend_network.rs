@@ -9,7 +9,9 @@
 //! * an unreachable fleet degrades all the way to in-process rescue;
 //! * every degradation increments the observable resilience counters;
 //! * a request line past the daemon's cap is refused with one error line, and the daemon
-//!   keeps serving everyone else.
+//!   keeps serving everyone else;
+//! * a daemon, coordinator or worker given a numeric flag it cannot parse exits non-zero
+//!   with a `bad --flag` message instead of silently running on the default.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
@@ -318,4 +320,45 @@ fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
     let candidate =
         Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
     assert_reports_identical(&reference, &candidate, "after a hostile client");
+}
+
+#[test]
+fn unparseable_numbers_on_daemon_coordinator_and_worker_flags_exit_with_bad_flag() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--serve", "127.0.0.1:0", "--threads", "two"], "bad --threads"),
+        (
+            &["--serve", "127.0.0.1:0", "--max-concurrent-shards", "x"],
+            "bad --max-concurrent-shards",
+        ),
+        (&["--coordinate", "127.0.0.1:0", "--io-deadline-ms", "x"], "bad --io-deadline-ms"),
+        (&["--coordinate", "127.0.0.1:0", "--stripes-per-peer", "x"], "bad --stripes-per-peer"),
+        (&["--worker", "--threads", "two"], "bad --threads"),
+    ];
+    for (args, expected) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sweep spawns");
+        // A flag that is silently dropped leaves a daemon serving forever: give it a
+        // deadline instead of waiting on it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll the child") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("sweep {args:?} kept running instead of rejecting its flag");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert!(!status.success(), "sweep {args:?} must exit non-zero");
+        assert!(stderr.contains(expected), "sweep {args:?}: stderr {stderr:?} lacks {expected:?}");
+    }
 }

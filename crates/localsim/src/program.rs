@@ -109,9 +109,9 @@ pub struct Incoming<M> {
 ///
 /// The inbox is staged *lazily*: the runtime hands the context the node's raw dense-arc
 /// stamp/payload segments, and the first call to [`RoundCtx::inbox`] (or
-/// [`RoundCtx::received_on`]) scans the stamps — with the dispatched `local-simd` kernel —
-/// and clones out the matching payloads. Nodes that skip their inbox in a round (e.g. a
-/// colour class waiting its turn) pay nothing for the messages they ignore.
+/// [`RoundCtx::received_on`]) scans the stamps and clones out the matching payloads. Nodes
+/// that skip their inbox in a round (e.g. a colour class waiting its turn) pay nothing for
+/// the messages they ignore.
 pub struct RoundCtx<'a, M> {
     pub(crate) round: u64,
     pub(crate) degree: usize,
@@ -164,7 +164,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     }
 
     /// Iterates `(port, message)` over this round's arrivals, port-ascending, **without
-    /// staging**: the iterator walks the raw stamp segment (64-arc SIMD match masks) and
+    /// staging**: the iterator walks the raw stamp segment (64-arc match masks) and
     /// borrows payloads in place — no clone, no buffer. Same arrivals in the same order as
     /// [`RoundCtx::inbox`] (the staged buffer is just a materialization of the same
     /// segment, so mixing the two within a round agrees); prefer this in hot per-round
@@ -180,9 +180,9 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         }
     }
 
-    /// Number of messages received this round — one SIMD stamp-count pass, no staging.
+    /// Number of messages received this round — one stamp-count pass, no staging.
     pub fn received_count(&self) -> usize {
-        local_simd::stamp_match_count(self.stamps, self.read_tick)
+        self.stamps.iter().filter(|&&s| s == self.read_tick).count()
     }
 
     /// Convenience: the message received on `port` this round, if any.
@@ -192,7 +192,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     }
 
     /// Fills the staging buffer from the raw stamp/payload segments on first access: a
-    /// 64-arc-chunked stamp-match mask (SIMD-dispatched), then one clone per set bit.
+    /// 64-arc-chunked stamp-match mask, then one clone per set bit.
     fn stage(&mut self) {
         if *self.staged {
             return;
@@ -255,7 +255,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
 
 /// Iterator over one round's arrivals, see [`RoundCtx::messages`].
 ///
-/// Walks the stamp segment one 64-arc chunk at a time, pulling a SIMD match mask per chunk
+/// Walks the stamp segment one 64-arc chunk at a time, pulling a match mask per chunk
 /// and peeling set bits. `fold` is overridden with the tight two-level loop, so
 /// internal-iteration consumers (`for_each` and adapters over it) skip the per-item state
 /// machine of [`Messages::next`].
@@ -268,6 +268,17 @@ pub struct Messages<'b, M> {
     /// Base port of the next chunk to scan.
     next_chunk: usize,
     mask: u64,
+}
+
+/// Bit `i` is set iff `stamps[i] == tick`; one chunk of at most 64 arcs.
+#[inline]
+fn stamp_match_mask64(stamps: &[u64], tick: u64) -> u64 {
+    debug_assert!(stamps.len() <= 64, "a match mask covers at most 64 stamps");
+    let mut mask = 0u64;
+    for (i, &s) in stamps.iter().enumerate() {
+        mask |= u64::from(s == tick) << i;
+    }
+    mask
 }
 
 impl<'b, M> Iterator for Messages<'b, M> {
@@ -287,8 +298,7 @@ impl<'b, M> Iterator for Messages<'b, M> {
                 return None;
             }
             let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask =
-                local_simd::stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
+            self.mask = stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
             self.chunk = self.next_chunk;
             self.next_chunk = end;
         }
@@ -312,8 +322,7 @@ impl<'b, M> Iterator for Messages<'b, M> {
                 return acc;
             }
             let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask =
-                local_simd::stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
+            self.mask = stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
             self.chunk = self.next_chunk;
             self.next_chunk = end;
         }
@@ -370,6 +379,47 @@ mod tests {
         assert_eq!(bcast, Some(9));
         assert!(staged, "first inbox access must mark the segment staged");
         assert!(rng_slot.is_some(), "rng access must fill the slot");
+    }
+
+    #[test]
+    fn stamp_masks_cover_chunk_boundaries_and_full_rows() {
+        // Rows just below, at and above the 64-arc chunk boundary, an empty row, and a
+        // max-degree row where every arc matches: `next` and `fold` must both yield
+        // exactly the ports stamped with the read tick that carry a payload.
+        let tick = 42u64;
+        let full = vec![tick; 64];
+        assert_eq!(stamp_match_mask64(&full, tick), u64::MAX);
+        assert_eq!(stamp_match_mask64(&[], tick), 0);
+        for len in [0usize, 1, 63, 64, 65, 128, 129] {
+            let patterned: Vec<u64> =
+                (0..len as u64).map(|i| if i % 3 == 0 { tick } else { i + 100 }).collect();
+            for stamps in [patterned, vec![tick; len]] {
+                let payloads: Vec<Option<usize>> =
+                    (0..len).map(|p| (p % 7 != 5).then_some(p)).collect();
+                let expect: Vec<(usize, usize)> = (0..len)
+                    .filter(|&p| stamps[p] == tick && payloads[p].is_some())
+                    .map(|p| (p, p))
+                    .collect();
+                let raw = || Messages {
+                    stamps: &stamps,
+                    payloads: &payloads,
+                    read_tick: tick,
+                    chunk: 0,
+                    next_chunk: 0,
+                    mask: 0,
+                };
+                let mut by_next = Vec::new();
+                for (p, &m) in raw() {
+                    by_next.push((p, m));
+                }
+                let by_fold = raw().fold(Vec::new(), |mut acc, (p, &m)| {
+                    acc.push((p, m));
+                    acc
+                });
+                assert_eq!(by_next, expect, "next, len {len}");
+                assert_eq!(by_fold, expect, "fold, len {len}");
+            }
+        }
     }
 
     #[test]

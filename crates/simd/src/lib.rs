@@ -1,435 +1,14 @@
-//! # local-simd — flat-buffer scan kernels with runtime feature dispatch
+//! # local-simd — retired
 //!
-//! The runtime's steady state is pure scanning over flat buffers: tick-stamped message
-//! arenas, live masks over the CSR overlay, frontier worklists, and the Linial/Horner colour
-//! digests (see `local-runtime::session`, `local-runtime::view`, `local-algos::coloring`).
-//! This crate vectorizes those scans behind a tiny dispatch layer:
+//! This crate used to hold hand-written SSE2/AVX2 scan kernels behind a runtime dispatch
+//! layer. They did not move the end-to-end sweep wall clock, so the portable loops were
+//! folded back into their callers (`local-runtime` and `local-algos`) and the crate no
+//! longer has a dependent inside the workspace.
 //!
-//! * [`scalar`] is the **semantic reference** — portable, branch-simple Rust. Every other
-//!   implementation must produce bit-identical results (asserted by the proptest equivalence
-//!   suite in `tests/kernels_equivalence.rs` and by the runtime's `view_vs_rebuild` oracle).
-//! * `sse2` is the x86_64 baseline (always available on that architecture).
-//! * `avx2` is used when the CPU supports it (detected once at startup).
-//!
-//! The active level is detected once, cached in an atomic, and overridable through the
-//! `LOCAL_SIMD` environment variable (`scalar`, `sse2`, or `avx2`) so CI can pin paths; a
-//! requested level the CPU cannot execute is clamped down to the best supported one.
-//!
-//! ## Adding a kernel
-//!
-//! 1. Write the scalar reference in [`scalar`] — simplest possible code, this is the spec.
-//! 2. Add the `sse2`/`avx2` variants (gated `cfg(target_arch = "x86_64")`).
-//! 3. Add the dispatching wrapper here, following the existing `match level()` pattern.
-//! 4. Extend `tests/kernels_equivalence.rs` with a proptest driving all levels against the
-//!    scalar reference over adversarial shapes (empty, all-dead, single element, max degree).
-//!
-//! ## Exactness of the float Horner kernel
-//!
-//! [`eval_poly_block8`] evaluates polynomials over `F_q` in `f64` lanes. For `q < 2^25` every
-//! intermediate (`acc·a + c` with `acc, c < q` and `a < q + 8`) stays below `2^53`, so all
-//! products, sums, and the final remainder are **exact** integers in `f64` — the quotient
-//! estimate may be off by one, which two masked fix-up steps correct. The result is therefore
-//! bit-identical to the integer reference, not merely close; callers must keep the
-//! [`eval_poly_block8`] preconditions (checked by `debug_assert!` and the equivalence suite).
+//! It is kept only because the `sweepbench` benchmark still prints [`level_name`] on its
+//! `context` line; the crate goes away with the next change to the benchmark.
 
-#![warn(missing_docs)]
-
-pub mod scalar;
-
-#[cfg(target_arch = "x86_64")]
-pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod sse2;
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// The instruction-set level a kernel call dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Level {
-    /// Portable Rust — the semantic reference implementation.
-    Scalar = 0,
-    /// SSE2, the x86_64 baseline.
-    Sse2 = 1,
-    /// AVX2 (implies SSE2).
-    Avx2 = 2,
-}
-
-impl Level {
-    fn from_u8(v: u8) -> Level {
-        match v {
-            2 => Level::Avx2,
-            1 => Level::Sse2,
-            _ => Level::Scalar,
-        }
-    }
-
-    /// Lower-case name, as accepted by the `LOCAL_SIMD` override.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Scalar => "scalar",
-            Level::Sse2 => "sse2",
-            Level::Avx2 => "avx2",
-        }
-    }
-}
-
-/// `u8::MAX` = not yet detected.
-static LEVEL: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The highest level the running CPU can execute.
-fn hardware_level() -> Level {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Level::Avx2
-        } else {
-            Level::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Level::Scalar
-    }
-}
-
-fn detect() -> Level {
-    let hw = hardware_level();
-    match std::env::var("LOCAL_SIMD") {
-        Ok(v) => {
-            let requested = match v.to_ascii_lowercase().as_str() {
-                "scalar" => Level::Scalar,
-                "sse2" => Level::Sse2,
-                "avx2" => Level::Avx2,
-                other => {
-                    eprintln!("LOCAL_SIMD={other:?} not recognized (use scalar|sse2|avx2); auto-detecting");
-                    hw
-                }
-            };
-            // Clamp to what the CPU can actually execute.
-            requested.min(hw)
-        }
-        Err(_) => hw,
-    }
-}
-
-/// Detects (or re-reads the cached) dispatch level. Called implicitly by every kernel; call
-/// it explicitly at startup to pay the detection (and the `LOCAL_SIMD` read) outside any
-/// timed or allocation-counted region.
-#[inline]
-pub fn level() -> Level {
-    let cached = LEVEL.load(Ordering::Relaxed);
-    if cached != u8::MAX {
-        return Level::from_u8(cached);
-    }
-    init()
-}
-
-/// Forces detection now and caches the result. Returns the active level.
-pub fn init() -> Level {
-    let lvl = detect();
-    LEVEL.store(lvl as u8, Ordering::Relaxed);
-    lvl
-}
-
-/// Name of the active dispatch level (`"scalar"`, `"sse2"`, or `"avx2"`).
+/// The kernel level every scan runs at — always `"scalar"`.
 pub fn level_name() -> &'static str {
-    level().name()
-}
-
-/// One-line dispatch report for CLI headers: active level, CPU capability, and whether the
-/// `LOCAL_SIMD` override forced it.
-pub fn dispatch_report() -> String {
-    let active = level();
-    let hw = hardware_level();
-    match std::env::var("LOCAL_SIMD") {
-        Ok(v) => format!("simd: {} (cpu supports {}, LOCAL_SIMD={})", active.name(), hw.name(), v),
-        Err(_) => format!("simd: {} (cpu supports {}, auto)", active.name(), hw.name()),
-    }
-}
-
-// ------------------------------------------------------------------ stamped-arena scans ----
-
-/// Bit `i` of the result is set iff `stamps[i] == tick`. `stamps.len()` must be at most 64.
-///
-/// This is the inbox-staging primitive: a node's dense-arc segment is scanned in chunks of
-/// up to 64 stamps, and the caller walks the set bits to gather the matching payloads.
-#[inline]
-pub fn stamp_match_mask64(stamps: &[u64], tick: u64) -> u64 {
-    debug_assert!(stamps.len() <= 64, "mask kernel covers at most 64 stamps per call");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::stamp_match_mask64(stamps, tick) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::stamp_match_mask64(stamps, tick) },
-        _ => scalar::stamp_match_mask64(stamps, tick),
-    }
-}
-
-/// Number of stamps equal to `tick` (per-node arrival count), any slice length.
-#[inline]
-pub fn stamp_match_count(stamps: &[u64], tick: u64) -> usize {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::stamp_match_count(stamps, tick) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::stamp_match_count(stamps, tick) },
-        _ => scalar::stamp_match_count(stamps, tick),
-    }
-}
-
-// ------------------------------------------------------------------ live-mask folds --------
-
-/// `true` iff every element of `mask` is `true` (e.g. "is this retain a no-op?").
-#[inline]
-pub fn mask_all_true(mask: &[bool]) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::mask_all_true(mask) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::mask_all_true(mask) },
-        _ => scalar::mask_all_true(mask),
-    }
-}
-
-/// Number of `true` elements (popcount-style fold over a live mask).
-#[inline]
-pub fn mask_count_true(mask: &[bool]) -> usize {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::mask_count_true(mask) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::mask_count_true(mask) },
-        _ => scalar::mask_count_true(mask),
-    }
-}
-
-// ------------------------------------------------------------------ worklist compaction ----
-
-/// In-place keeps exactly the `nodes[i]` with `mask[nodes[i]] == true`, preserving order
-/// (live-node list rebuild after a pruning wave).
-///
-/// The dispatched variants use a branchless write-then-advance compaction; the scalar
-/// reference is `Vec::retain`. Identical results, different branch behaviour.
-#[inline]
-pub fn compact_marked(nodes: &mut Vec<usize>, mask: &[bool]) {
-    match level() {
-        Level::Scalar => scalar::compact_marked(nodes, mask),
-        _ => {
-            let len = branchless_compact::<false>(nodes, mask);
-            nodes.truncate(len);
-        }
-    }
-}
-
-/// In-place keeps exactly the `nodes[i]` with `mask[nodes[i]] == false`, preserving order
-/// (frontier compaction: drop freshly halted nodes from the active worklist).
-#[inline]
-pub fn compact_unmarked(nodes: &mut Vec<usize>, mask: &[bool]) {
-    match level() {
-        Level::Scalar => scalar::compact_unmarked(nodes, mask),
-        _ => {
-            let len = branchless_compact::<true>(nodes, mask);
-            nodes.truncate(len);
-        }
-    }
-}
-
-/// Branchless stream compaction: write every candidate, advance the cursor only for
-/// survivors (`k <= i` keeps the in-place write sound). Shared by the sse2/avx2 levels —
-/// the mask lookup is a data-dependent gather, so the win over `retain` is the removal of
-/// the per-element branch, not wider lanes.
-fn branchless_compact<const INVERT: bool>(nodes: &mut [usize], mask: &[bool]) -> usize {
-    let mut k = 0usize;
-    for i in 0..nodes.len() {
-        let v = nodes[i];
-        nodes[k] = v;
-        let keep = if INVERT { !mask[v] } else { mask[v] };
-        k += keep as usize;
-    }
-    k
-}
-
-// ------------------------------------------------------------------ Horner digit loops -----
-
-/// Upper bound (exclusive) on `q` for the exact-`f64` Horner kernels.
-pub const EVAL_POLY_MAX_Q: u64 = 1 << 25;
-
-/// Evaluates the polynomial with base-`q` digits `coeffs` (little-endian: `coeffs[i]` is the
-/// coefficient of `x^i`) at the eight consecutive points `a, a+1, ..., a+7`, all mod `q`.
-///
-/// Leading zero digits are skipped (the zero-digit trim of `local-algos`' digit layout).
-/// Out-of-field points (`a + i >= q`) are still evaluated exactly — callers scanning
-/// `0..q` in blocks simply ignore the tail lanes.
-///
-/// # Preconditions
-///
-/// `q >= 2` prime (any `q >= 2` evaluates fine; primality is the caller's concern),
-/// `q < EVAL_POLY_MAX_Q`, `a + 7 < EVAL_POLY_MAX_Q`, and every digit `< q`. Checked by
-/// `debug_assert!`; violating them in release silently loses exactness.
-#[inline]
-pub fn eval_poly_block8(coeffs: &[u64], a: u64, q: u64) -> [u64; 8] {
-    debug_assert!((2..EVAL_POLY_MAX_Q).contains(&q));
-    debug_assert!(a + 7 < EVAL_POLY_MAX_Q);
-    debug_assert!(coeffs.iter().all(|&c| c < q));
-    let coeffs = trim_leading_zeros(coeffs);
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::eval_poly_block8(coeffs, a, q) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::eval_poly_block8(coeffs, a, q) },
-        _ => scalar::eval_poly_block8(coeffs, a, q),
-    }
-}
-
-/// The slice with its trailing (highest-power) zero digits removed: leading zero
-/// coefficients leave a Horner accumulator at zero, so skipping them is free and exact.
-#[inline]
-pub fn trim_leading_zeros(coeffs: &[u64]) -> &[u64] {
-    let n = match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { avx2::nonzero_prefix_len(coeffs) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => unsafe { sse2::nonzero_prefix_len(coeffs) },
-        _ => scalar::nonzero_prefix_len(coeffs),
-    };
-    &coeffs[..n]
-}
-
-/// Precomputed reciprocal for **exact** scalar arithmetic mod a small `q` — the
-/// single-point companion of [`eval_poly_block8`], replacing each hardware division
-/// (~20–40 cycles) with a multiply and two masked fix-ups.
-///
-/// Shared by every dispatch level (it is plain scalar math): for `q < 2^25` and operands
-/// below `2^51`, the `f64` quotient estimate is within ±1 of the true quotient, and the
-/// fix-ups make the result identical to the `%`/`/` operators — see the crate docs for the
-/// exactness argument.
-#[derive(Debug, Clone, Copy)]
-pub struct ModQ {
-    q: u64,
-    inv: f64,
-}
-
-impl ModQ {
-    /// Operand bound (exclusive) under which [`ModQ::div_rem`] is exact.
-    pub const MAX_OPERAND: u64 = 1 << 51;
-
-    /// Precomputes the reciprocal of `q` (`2 <= q < EVAL_POLY_MAX_Q`).
-    #[inline]
-    pub fn new(q: u64) -> ModQ {
-        debug_assert!((2..EVAL_POLY_MAX_Q).contains(&q));
-        ModQ { q, inv: 1.0 / q as f64 }
-    }
-
-    /// The modulus this context reduces by.
-    #[inline]
-    pub fn q(self) -> u64 {
-        self.q
-    }
-
-    /// Exact `(c / q, c % q)` for `c <` [`ModQ::MAX_OPERAND`].
-    #[inline]
-    pub fn div_rem(self, c: u64) -> (u64, u64) {
-        debug_assert!(c < ModQ::MAX_OPERAND);
-        // Quotient estimate within ±1 of floor(c / q); a wrapped-negative remainder marks
-        // an overshoot, a remainder >= q an undershoot.
-        let mut k = (c as f64 * self.inv) as u64;
-        let mut r = c.wrapping_sub(k * self.q);
-        if (r as i64) < 0 {
-            k -= 1;
-            r = r.wrapping_add(self.q);
-        } else if r >= self.q {
-            k += 1;
-            r -= self.q;
-        }
-        (k, r)
-    }
-
-    /// One exact Horner step `(acc·x + c) mod q`, for `acc, c < q` and `x < q + 8`.
-    #[inline]
-    pub fn horner_step(self, acc: u64, x: u64, c: u64) -> u64 {
-        self.div_rem(acc * x + c).1
-    }
-
-    /// Modulus bound (exclusive) under which two *unpaired* Horner steps can share one
-    /// reciprocal reduction: `q·(q+8)² + (q+8)·q + q < 2^51` holds for every `q < 2^16`.
-    pub const PAIR_MAX_Q: u64 = 1 << 16;
-
-    /// Exact Horner evaluation of the digit polynomial at one point `a < q + 8`
-    /// (little-endian digits, all `< q`), with the zero-digit trim applied first.
-    ///
-    /// For `q <` [`ModQ::PAIR_MAX_Q`] two digits are folded per reduction — the unreduced
-    /// double step stays below [`ModQ::MAX_OPERAND`], so exactness is preserved while the
-    /// reciprocal work is halved.
-    #[inline]
-    pub fn eval_poly(self, coeffs: &[u64], a: u64) -> u64 {
-        let n = scalar::nonzero_prefix_len(coeffs);
-        let coeffs = &coeffs[..n];
-        let mut acc = 0u64;
-        if self.q < ModQ::PAIR_MAX_Q {
-            let mut pairs = coeffs.rchunks_exact(2);
-            for pair in &mut pairs {
-                acc = self.div_rem((acc * a + pair[1]) * a + pair[0]).1;
-            }
-            if let [c] = pairs.remainder() {
-                acc = self.horner_step(acc, a, *c);
-            }
-            return acc;
-        }
-        for &c in coeffs.iter().rev() {
-            acc = self.horner_step(acc, a, c);
-        }
-        acc
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn level_is_cached_and_named() {
-        let first = level();
-        assert_eq!(first, level());
-        assert_eq!(level_name(), first.name());
-        assert!(["scalar", "sse2", "avx2"].contains(&level_name()));
-        assert!(dispatch_report().starts_with("simd: "));
-    }
-
-    #[test]
-    fn mask64_matches_scalar_on_all_levels() {
-        let stamps: Vec<u64> = (0..64).map(|i| if i % 3 == 0 { 7 } else { i }).collect();
-        let reference = scalar::stamp_match_mask64(&stamps, 7);
-        assert_eq!(stamp_match_mask64(&stamps, 7), reference);
-        assert_eq!(stamp_match_count(&stamps, 7), reference.count_ones() as usize);
-    }
-
-    #[test]
-    fn compaction_keeps_order() {
-        let mask = [true, false, true, true, false, true];
-        let mut a: Vec<usize> = (0..6).collect();
-        compact_marked(&mut a, &mask);
-        assert_eq!(a, vec![0, 2, 3, 5]);
-        let mut b: Vec<usize> = (0..6).collect();
-        compact_unmarked(&mut b, &mask);
-        assert_eq!(b, vec![1, 4]);
-    }
-
-    #[test]
-    fn eval_poly_block_is_exact() {
-        // p(x) = 3 + 2x + x² over F_7; p(4) = 27 ≡ 6.
-        let out = eval_poly_block8(&[3, 2, 1], 4, 7);
-        assert_eq!(out[0], 6);
-        for (i, &v) in out.iter().enumerate() {
-            let a = 4 + i as u64;
-            assert_eq!(v, (3 + 2 * a + a * a) % 7);
-        }
-    }
-
-    #[test]
-    fn trim_drops_only_leading_zeros() {
-        assert_eq!(trim_leading_zeros(&[1, 0, 2, 0, 0]), &[1, 0, 2]);
-        assert_eq!(trim_leading_zeros(&[0, 0]), &[] as &[u64]);
-        assert_eq!(trim_leading_zeros(&[]), &[] as &[u64]);
-    }
+    "scalar"
 }
