@@ -21,7 +21,8 @@
 use crate::coloring::ReducedColoring;
 use crate::mis::ColoringMis;
 use local_runtime::{
-    Action, AlgoRun, Graph, GraphAlgorithm, NodeInit, NodeProgram, ProgramSpec, RoundCtx,
+    Action, AlgoRun, Graph, GraphAlgorithm, GraphView, NodeInit, NodeProgram, ProgramSpec,
+    RoundCtx, Session,
 };
 
 /// Number of peeling rounds used for a given guess of `n` (with ε = 1, i.e. threshold `3ã`).
@@ -157,13 +158,15 @@ impl GraphAlgorithm for ArboricityMis {
     type Input = ();
     type Output = bool;
 
-    fn execute(
+    fn execute_view(
         &self,
-        graph: &Graph,
+        view: &GraphView<'_>,
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
+        session: &mut Session,
     ) -> AlgoRun<bool> {
+        let graph = session.materialized_graph(view);
         if graph.is_empty() {
             return AlgoRun::empty();
         }
@@ -263,13 +266,15 @@ impl GraphAlgorithm for ArboricityColoring {
     type Input = ();
     type Output = u64;
 
-    fn execute(
+    fn execute_view(
         &self,
-        graph: &Graph,
+        view: &GraphView<'_>,
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
+        session: &mut Session,
     ) -> AlgoRun<u64> {
+        let graph = session.materialized_graph(view);
         if graph.is_empty() {
             return AlgoRun::empty();
         }

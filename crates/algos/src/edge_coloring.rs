@@ -13,7 +13,7 @@
 //! The composite therefore charges the `L(G)` execution's rounds plus one.
 
 use crate::coloring::ReducedColoring;
-use local_runtime::{AlgoRun, Graph, GraphAlgorithm};
+use local_runtime::{AlgoRun, GraphAlgorithm, GraphView, Session};
 
 /// Proper edge colouring with `2Δ̃ − 1` colours via vertex-colouring the line graph.
 /// Non-uniform in `{Δ, m}`.
@@ -32,7 +32,7 @@ impl LineGraphEdgeColoring {
     }
 
     /// The identity bound used on the line graph (edge identities are packed from the endpoint
-    /// identities; see [`Graph::line_graph`]).
+    /// identities; see [`local_runtime::Graph::line_graph`]).
     pub fn line_graph_id_bound(&self) -> u64 {
         self.id_bound_guess.saturating_mul(1_000_003).saturating_add(self.id_bound_guess).max(1)
     }
@@ -58,13 +58,15 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
     type Input = ();
     type Output = Vec<u64>;
 
-    fn execute(
+    fn execute_view(
         &self,
-        graph: &Graph,
+        view: &GraphView<'_>,
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
+        session: &mut Session,
     ) -> AlgoRun<Vec<u64>> {
+        let graph = session.materialized_graph(view);
         if graph.is_empty() {
             return AlgoRun::empty();
         }

@@ -257,39 +257,6 @@ impl GraphAlgorithm for ColoringMis {
     type Input = ();
     type Output = bool;
 
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<bool> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let coloring = ReducedColoring::delta_plus_one(self.delta_guess, self.id_bound_guess);
-        let phase1 = coloring.execute(graph, inputs, budget, seed);
-        let remaining = budget.map(|b| b.saturating_sub(phase1.rounds));
-        if remaining == Some(0) && budget.is_some() {
-            // Budget exhausted during the colouring phase: emit placeholder outputs.
-            return AlgoRun {
-                outputs: vec![false; graph.node_count()],
-                rounds: budget.unwrap_or(phase1.rounds),
-                messages: phase1.messages,
-                completed: false,
-            };
-        }
-        let phase2 = MisFromColoring.execute(graph, &phase1.outputs, remaining, seed ^ 0x5eed);
-        // Observation 2.1: the running time of A1;A2 is at most the sum of the running times.
-        AlgoRun {
-            outputs: phase2.outputs,
-            rounds: phase1.rounds + phase2.rounds,
-            messages: phase1.messages + phase2.messages,
-            completed: phase1.completed && phase2.completed,
-        }
-    }
-
     fn execute_view(
         &self,
         view: &GraphView<'_>,
@@ -308,6 +275,7 @@ impl GraphAlgorithm for ColoringMis {
         let phase1 = coloring.execute_view(view, inputs, budget, seed, session);
         let remaining = budget.map(|b| b.saturating_sub(phase1.rounds));
         if remaining == Some(0) && budget.is_some() {
+            // Budget exhausted during the colouring phase: emit placeholder outputs.
             return AlgoRun {
                 outputs: vec![false; view.node_count()],
                 rounds: budget.unwrap_or(phase1.rounds),
@@ -317,6 +285,7 @@ impl GraphAlgorithm for ColoringMis {
         }
         let phase2 =
             MisFromColoring.execute_view(view, &phase1.outputs, remaining, seed ^ 0x5eed, session);
+        // Observation 2.1: the running time of A1;A2 is at most the sum of the running times.
         AlgoRun {
             outputs: phase2.outputs,
             rounds: phase1.rounds + phase2.rounds,

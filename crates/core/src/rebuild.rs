@@ -1,13 +1,14 @@
 //! Reference alternation drivers that rebuild the configuration after every pruning step.
 //!
 //! This is the pre-session execution strategy: every sub-iteration materializes the surviving
-//! subgraph with [`Graph::induced_subgraph`] and runs the black box through a fresh
+//! subgraph with [`Graph::induced_subgraph`] and runs the black box on it through a fresh
 //! [`GraphAlgorithm::execute`] call. It is kept — verbatim in behaviour — for two reasons:
 //!
-//! 1. **Equivalence oracle.** The zero-rebuild path of [`crate::transform`] (live
-//!    [`GraphView`] + reusable session) promises byte-identical [`UniformRun`]s; the property
-//!    tests drive both paths over scenario grids and compare outputs, rounds, messages, and
-//!    traces field by field.
+//! 1. **Equivalence oracle.** The zero-rebuild path of [`crate::transform`] runs each attempt
+//!    on the live [`GraphView`] with one reusable session, and a run on a view must equal the
+//!    run on the materialized subgraph; the property tests drive both paths over scenario
+//!    grids and compare the [`UniformRun`]s' outputs, rounds, messages, and traces field by
+//!    field.
 //! 2. **Benchmark baseline.** The `alternation_hotpath` bench in `local-bench` measures the
 //!    throughput of the session path against this rebuild path on doubling-budget MIS runs.
 //!
@@ -362,8 +363,8 @@ mod tests {
 
     #[test]
     fn rebuild_matches_view_for_materializing_black_box() {
-        // ArboricityMis has no view-native execute_view: the fast driver reaches it through
-        // the session's epoch-cached materialization. Results must still be byte-identical.
+        // ArboricityMis peels induced layers of a real graph, so its execute_view takes the
+        // session's epoch-cached materialization. Results must still be byte-identical.
         let transformer = catalog::uniform_arboricity_mis();
         let g = local_graphs::forest_union(90, 3, 5);
         let n = g.node_count();

@@ -405,18 +405,26 @@ pub fn run_cell_in(
         instance_micros: instance.gen_micros,
     };
     if obs_on {
-        // One whole-cell span plus its phases, rebuilt from the measured micros: attempt
-        // and prune were timed inside the workload, verify is the remaining wall time.
-        // Labels intern per distinct (problem, family) / cell, not per event.
+        // One whole-cell span plus its phases, rebuilt from the measured micros: baseline,
+        // attempt and prune were timed inside the workload, verify is the remaining wall
+        // time. Labels intern per distinct (problem, family) / cell, not per event.
         let phase = local_obs::label(&format!("{};{}", result.problem, result.family));
         let cell_label = local_obs::label(&cell.label());
+        let baseline = measured.baseline_micros;
         let attempt = result.attempt_micros;
         let prune = result.prune_micros;
-        let verify = result.wall_micros.saturating_sub(attempt + prune);
+        let verify = result.wall_micros.saturating_sub(baseline + attempt + prune);
+        let mut at = obs_start;
         local_obs::complete(obs_metrics::CELL, cell_label, obs_start, result.wall_micros);
-        local_obs::complete(obs_metrics::ATTEMPT, phase, obs_start, attempt);
-        local_obs::complete(obs_metrics::PRUNE, phase, obs_start + attempt, prune);
-        local_obs::complete(obs_metrics::VERIFY, phase, obs_start + attempt + prune, verify);
+        for (metric, micros) in [
+            (obs_metrics::BASELINE, baseline),
+            (obs_metrics::ATTEMPT, attempt),
+            (obs_metrics::PRUNE, prune),
+            (obs_metrics::VERIFY, verify),
+        ] {
+            local_obs::complete(metric, phase, at, micros);
+            at += micros;
+        }
         // The observed-side record of the predicted-vs-observed join (label = cell label,
         // same registry as `predicted-micros` from `--dry-run`).
         local_obs::record(obs_metrics::CELL_MICROS, cell_label, result.wall_micros);

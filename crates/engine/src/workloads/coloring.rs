@@ -1,11 +1,11 @@
 //! The colouring workloads: Theorem 5's λ(Δ+1)-colouring and the line-graph edge
 //! colouring built on it.
 
-use super::{units, MeasuredRun, Workload, WorkloadSpec};
+use super::{run_baseline, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
 use local_algos::checkers;
 use local_algos::edge_coloring::LineGraphEdgeColoring;
-use local_runtime::{GraphAlgorithm, Session};
+use local_runtime::Session;
 use local_uniform::catalog;
 use std::collections::HashMap;
 
@@ -46,12 +46,8 @@ impl Workload for LambdaColoring {
         let graph = &instance.graph;
         let params = &instance.params;
         let baseline = catalog::lambda_coloring_box(self.lambda);
-        let nu = (baseline.build)(params.max_degree, params.max_id).execute(
-            graph,
-            &units(graph.node_count()),
-            None,
-            seed,
-        );
+        let (nu, baseline_micros) =
+            run_baseline(&*(baseline.build)(params.max_degree, params.max_id), graph, seed);
         let transformer = catalog::uniform_lambda_coloring(self.lambda);
         let uni = transformer.solve_in(graph, seed, session);
         let nu_valid = checkers::check_coloring_with_palette(
@@ -73,6 +69,7 @@ impl Workload for LambdaColoring {
             valid: nu_valid && uni_valid,
             attempt_micros: uni.attempt_micros,
             prune_micros: uni.prune_micros,
+            baseline_micros,
         }
     }
 }
@@ -105,7 +102,7 @@ impl Workload for EdgeColoring {
         let params = &instance.params;
         let baseline =
             LineGraphEdgeColoring { delta_guess: params.max_degree, id_bound_guess: params.max_id };
-        let nu = baseline.execute(graph, &units(graph.node_count()), None, seed);
+        let (nu, baseline_micros) = run_baseline(&baseline, graph, seed);
         let nu_valid = checkers::check_edge_coloring(graph, &nu.outputs).is_ok();
 
         let (lg, edges) = graph.line_graph();
@@ -132,6 +129,7 @@ impl Workload for EdgeColoring {
             valid: nu_valid && uni_valid,
             attempt_micros: uni.attempt_micros,
             prune_micros: uni.prune_micros,
+            baseline_micros,
         }
     }
 }

@@ -31,9 +31,10 @@ pub(crate) use mis::{
 pub(crate) use ruling_set::parse_ruling_set;
 
 use crate::scheduler::Instance;
-use local_runtime::{Graph, Session};
+use local_runtime::{AlgoRun, Graph, GraphAlgorithm, Session};
 use local_uniform::problem::Problem;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What one workload execution measured; the scheduler packages this into a
 /// [`crate::report::CellResult`] together with the cell's coordinates.
@@ -57,6 +58,8 @@ pub struct MeasuredRun {
     pub attempt_micros: u64,
     /// Wall time the uniform driver spent pruning, in microseconds.
     pub prune_micros: u64,
+    /// Wall time the non-uniform baseline run took, in microseconds.
+    pub baseline_micros: u64,
 }
 
 /// One experiment workload: a named, seeded execution of a uniform algorithm against its
@@ -168,6 +171,19 @@ pub(crate) fn units(n: usize) -> Vec<()> {
     vec![(); n]
 }
 
+/// Runs a workload's non-uniform `baseline` on the whole instance graph with no round
+/// budget, and times it: every workload runs its baseline through here, so the scheduler
+/// can report it as the cell's `baseline` phase rather than as part of `verify`.
+pub(crate) fn run_baseline<A: GraphAlgorithm<Input = ()> + ?Sized>(
+    baseline: &A,
+    graph: &Graph,
+    seed: u64,
+) -> (AlgoRun<A::Output>, u64) {
+    let started = Instant::now();
+    let run = baseline.execute(graph, &units(graph.node_count()), None, seed);
+    (run, started.elapsed().as_micros() as u64)
+}
+
 /// Shared shape of the transformed workloads: run the boxed non-uniform baseline at
 /// correct guesses and the uniform solver, validate both against `problem`, and package
 /// the measurements.
@@ -179,7 +195,7 @@ pub(crate) fn run_transformed<P: Problem<Input = ()>>(
     session: &mut Session,
     uniform: impl Fn(&Graph, u64, &mut Session) -> local_uniform::UniformRun<P::Output>,
 ) -> MeasuredRun {
-    let nu = baseline.execute(graph, &units(graph.node_count()), None, seed);
+    let (nu, baseline_micros) = run_baseline(&*baseline, graph, seed);
     let uni = uniform(graph, seed, session);
     let valid = problem.validate(graph, &units(graph.node_count()), &nu.outputs).is_ok()
         && problem.validate(graph, &units(graph.node_count()), &uni.outputs).is_ok();
@@ -193,5 +209,6 @@ pub(crate) fn run_transformed<P: Problem<Input = ()>>(
         valid,
         attempt_micros: uni.attempt_micros,
         prune_micros: uni.prune_micros,
+        baseline_micros,
     }
 }

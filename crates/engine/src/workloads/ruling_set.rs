@@ -1,6 +1,6 @@
 //! The ruling-set workload: the Las Vegas (2, β)-ruling set of Theorem 2 (Table 1 row 9).
 
-use super::{units, MeasuredRun, Workload, WorkloadSpec};
+use super::{run_baseline, units, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
 use local_runtime::Session;
 use local_uniform::catalog;
@@ -33,12 +33,8 @@ impl Workload for RulingSet {
     fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
         let graph = &instance.graph;
         let baseline = catalog::ruling_set_black_box();
-        let nu = (baseline.build)(&[instance.params.n]).execute(
-            graph,
-            &units(graph.node_count()),
-            None,
-            seed,
-        );
+        let (nu, baseline_micros) =
+            run_baseline(&*(baseline.build)(&[instance.params.n]), graph, seed);
         let uni = catalog::uniform_ruling_set(self.beta as usize).solve_in(
             graph,
             &units(graph.node_count()),
@@ -60,6 +56,7 @@ impl Workload for RulingSet {
             valid,
             attempt_micros: uni.attempt_micros,
             prune_micros: uni.prune_micros,
+            baseline_micros,
         }
     }
 }

@@ -8,8 +8,8 @@
 //! * refused connections retry through the capped backoff and recover;
 //! * an unreachable fleet degrades all the way to in-process rescue;
 //! * every degradation increments the observable resilience counters;
-//! * a request line past the daemon's cap is refused with one error line, and the daemon
-//!   keeps serving everyone else;
+//! * a request line past the daemon's cap, or nested past the JSON parser's depth limit, is
+//!   refused with one error line, and the daemon keeps serving everyone else;
 //! * a daemon, coordinator or worker given a numeric flag it cannot parse exits non-zero
 //!   with a `bad --flag` message instead of silently running on the default.
 //!
@@ -297,29 +297,43 @@ fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
     let daemon = Daemon::spawn(None);
-    // One byte past the daemon's 64 MiB request-line cap, and no newline.
+    // The daemon's 64 MiB request-line cap.
     const CAP: usize = 64 << 20;
-    let mut hostile = TcpStream::connect(&daemon.addr).expect("connects to the daemon");
-    hostile.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
-    let chunk = vec![b'x'; 1 << 20];
-    for _ in 0..CAP / chunk.len() {
-        hostile.write_all(&chunk).expect("the daemon reads up to its cap");
-    }
-    hostile.write_all(b"x").expect("the daemon reads the byte past its cap");
-    let mut reader = BufReader::new(hostile);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("the daemon answers");
-    let reply = serde_json::from_str(line.trim()).expect("the answer is one JSON line");
-    assert_eq!(
-        reply.get("error").and_then(serde_json::Value::as_str),
-        Some(format!("request line exceeds {CAP} bytes").as_str())
-    );
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).expect("a clean close"), 0, "the daemon hangs up");
+    // (what the hostile client sends, the daemon's one error line)
+    let cases = [
+        // One byte past the cap, and no newline.
+        ("overlong line", vec![b'x'; CAP + 1], format!("request line exceeds {CAP} bytes")),
+        // A short line nested far past the JSON parser's 128-level limit: without the limit,
+        // the recursive descent overflows the connection thread's stack and aborts the daemon.
+        (
+            "deep nesting",
+            ("[".repeat(100_000) + "\n").into_bytes(),
+            "unreadable request: JSON error at byte 128: nesting deeper than 128 levels".into(),
+        ),
+    ];
+    for (label, bytes, expected_error) in cases {
+        let mut hostile = TcpStream::connect(&daemon.addr).expect("connects to the daemon");
+        hostile.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+        for chunk in bytes.chunks(1 << 20) {
+            hostile.write_all(chunk).expect("the daemon reads up to its cap");
+        }
+        let mut reader = BufReader::new(hostile);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap_or_else(|e| panic!("{label}: no answer: {e}"));
+        let reply = serde_json::from_str(line.trim())
+            .unwrap_or_else(|e| panic!("{label}: the answer {line:?} is not one JSON line: {e}"));
+        assert_eq!(
+            reply.get("error").and_then(serde_json::Value::as_str),
+            Some(expected_error.as_str()),
+            "{label}: unexpected reply"
+        );
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("a clean close"), 0, "{label}: hang up");
 
-    let candidate =
-        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
-    assert_reports_identical(&reference, &candidate, "after a hostile client");
+        let candidate =
+            Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
+        assert_reports_identical(&reference, &candidate, &format!("after a hostile {label}"));
+    }
 }
 
 #[test]

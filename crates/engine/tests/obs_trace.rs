@@ -132,14 +132,53 @@ fn trace_event_log_is_parseable_ndjson() {
 
     let text = std::fs::read_to_string(&log).expect("event log exists");
     let mut types = std::collections::BTreeSet::new();
+    // Span lines per track, in recording order: (metric, start_us, dur_us).
+    let mut spans: std::collections::BTreeMap<String, Vec<(String, u64, u64)>> =
+        std::collections::BTreeMap::new();
     for line in text.lines() {
         let value: Value =
             serde_json::from_str(line).unwrap_or_else(|e| panic!("bad NDJSON line {line:?}: {e}"));
-        types.insert(as_str(value.get("type").expect("self-describing line")).to_string());
+        let kind = as_str(value.get("type").expect("self-describing line"));
+        types.insert(kind.to_string());
+        if kind == "span" {
+            let micros = |key: &str| u64::from_value(value.get(key).expect(key)).expect(key);
+            spans.entry(as_str(value.get("track").expect("track")).to_string()).or_default().push(
+                (
+                    as_str(value.get("metric").expect("metric")).to_string(),
+                    micros("start_us"),
+                    micros("dur_us"),
+                ),
+            );
+        }
     }
     for expected in ["track", "span", "counter"] {
         assert!(types.contains(expected), "no {expected:?} lines in {types:?}");
     }
+
+    // Every cell span is followed by its phase spans, baseline first, laid end to end from
+    // the cell's start; together they account for the cell's whole duration.
+    const PHASES: [&str; 4] = ["baseline", "attempt", "prune", "verify"];
+    let mut cells = 0;
+    for (track, events) in &spans {
+        for (i, (metric, start, dur)) in events.iter().enumerate() {
+            if metric != "cell" {
+                continue;
+            }
+            cells += 1;
+            let phases = events.get(i + 1..i + 1 + PHASES.len()).unwrap_or_else(|| {
+                panic!("{track}: cell span at {start} is missing its phase spans")
+            });
+            let names: Vec<&str> = phases.iter().map(|(m, _, _)| m.as_str()).collect();
+            assert_eq!(names, PHASES, "{track}: phases of the cell span at {start}");
+            assert_eq!(phases[0].1, *start, "{track}: the baseline span opens the cell");
+            let summed: u64 = phases.iter().map(|&(_, _, d)| d).sum();
+            assert!(
+                summed.abs_diff(*dur) <= PHASES.len() as u64,
+                "{track}: phases sum to {summed} us, the cell took {dur} us"
+            );
+        }
+    }
+    assert_eq!(cells, 4, "one cell span per cell of the grid");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

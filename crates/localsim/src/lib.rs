@@ -79,7 +79,7 @@ pub use algorithm::{AlgoRun, DynAlgorithm, GraphAlgorithm};
 pub use graph::{Graph, GraphError, NodeId, NodeIndex};
 pub use program::{Action, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
 pub use rng::{mix_seed, node_rng};
-pub use runner::{run, run_sequence, Execution, RunConfig};
+pub use runner::{run, Execution, RunConfig};
 pub use session::{run_view, Session, Topology};
 pub use trace::{ExecutionTrace, RoundTrace};
 pub use view::GraphView;

@@ -100,25 +100,6 @@ pub fn run<S: ProgramSpec>(
     run_core(graph, inputs, spec, cfg, &mut Session::new())
 }
 
-/// Runs `first` and then `second`, feeding the outputs of `first` to `second` as inputs
-/// (the composition `A1; A2` of Observation 2.1). The reported round count is the sum of the
-/// two running times, which upper-bounds the running time of the composed algorithm.
-pub fn run_sequence<S1, S2>(
-    graph: &Graph,
-    inputs: &[S1::Input],
-    first: &S1,
-    second: &S2,
-    cfg: &RunConfig,
-) -> (Execution<S1::Output>, Execution<S2::Output>)
-where
-    S1: ProgramSpec,
-    S2: ProgramSpec<Input = S1::Output>,
-{
-    let exec1 = run(graph, inputs, first, cfg);
-    let exec2 = run(graph, &exec1.outputs, second, cfg);
-    (exec1, exec2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,39 +271,5 @@ mod tests {
         assert!(exec.completed);
         assert_eq!(exec.rounds, 0);
         assert!(exec.outputs.is_empty());
-    }
-
-    #[test]
-    fn sequence_composes_outputs() {
-        // First algorithm outputs identities, second doubles its input.
-        struct DoubleSpec;
-        struct Double {
-            value: u64,
-        }
-        impl NodeProgram for Double {
-            type Msg = ();
-            type Output = u64;
-            fn round(&mut self, _ctx: &mut RoundCtx<'_, ()>) -> Action<u64> {
-                Action::Halt(self.value * 2)
-            }
-        }
-        impl ProgramSpec for DoubleSpec {
-            type Input = u64;
-            type Msg = ();
-            type Output = u64;
-            type Prog = Double;
-            fn build(&self, init: &NodeInit<u64>) -> Double {
-                Double { value: *init.input }
-            }
-            fn default_output(&self, _init: &NodeInit<u64>) -> u64 {
-                0
-            }
-        }
-        let g = path(3);
-        let (e1, e2) = run_sequence(&g, &[(); 3], &EchoIdSpec, &DoubleSpec, &RunConfig::default());
-        assert_eq!(e1.outputs, vec![0, 1, 2]);
-        assert_eq!(e2.outputs, vec![0, 2, 4]);
-        // Observation 2.1: composed running time bounded by the sum.
-        assert!(e1.rounds + e2.rounds <= 1);
     }
 }

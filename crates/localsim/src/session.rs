@@ -275,7 +275,7 @@ pub struct Session {
     /// The frozen init slab (ids, degrees, flat neighbor-identity arena), keyed by the
     /// topology's content epoch.
     slab: InitSlab,
-    /// Materialized-subgraph cache for composite algorithms without a view-native path,
+    /// Materialized-subgraph cache for composite algorithms that need a real graph,
     /// keyed by the view's content epoch (equal epoch ⇒ structurally identical view).
     materialized: Option<(u64, Graph)>,
 }
@@ -288,7 +288,9 @@ impl Session {
 
     /// The materialization of `view`, cached by content epoch: repeated attempts on an
     /// unchanged configuration (the common case between prunings) copy the subgraph once, not
-    /// once per attempt. Used by the default [`crate::algorithm::GraphAlgorithm::execute_view`].
+    /// once per attempt. Composites whose phases need a real [`Graph`] (a line graph, an
+    /// induced layer) take it here inside their
+    /// [`crate::algorithm::GraphAlgorithm::execute_view`].
     pub fn materialized_graph(&mut self, view: &GraphView<'_>) -> &Graph {
         let epoch = view.epoch();
         if self.materialized.as_ref().is_none_or(|&(cached, _)| cached != epoch) {

@@ -129,6 +129,8 @@ pub mod metrics {
     pub const STORE_HITS: MetricId = MetricId(30);
     /// Counter: result-store lookups that missed.
     pub const STORE_MISSES: MetricId = MetricId(31);
+    /// Span: the cell's non-uniform baseline run.
+    pub const BASELINE: MetricId = MetricId(32);
 
     /// Names, indexed by [`MetricId`]. Order is append-only: these names are wire- and
     /// trace-visible, so existing entries must never be renamed or reordered.
@@ -165,6 +167,7 @@ pub mod metrics {
         "store-index-rebuild-micros",
         "store-hits",
         "store-misses",
+        "baseline",
     ];
 }
 
