@@ -537,6 +537,13 @@ enum ReducePhase {
 }
 
 /// Node automaton for [`ReducedColoring`].
+///
+/// Event-driven in the elimination phase: colour class `c` acts only in its own step, so a
+/// node broadcasts its colour once when the Linial phase ends, sleeps ([`Action::Wait`])
+/// until its class step, recolours from the colours it last heard from each neighbour
+/// ([`RoundCtx::last_heard`]), broadcasts the new colour, and sleeps until the common halt
+/// round. Outputs and termination rounds equal those of re-broadcasting every colour on
+/// every round; only the messages that repeat a colour the receiver already holds are gone.
 #[derive(Debug)]
 pub struct ReducedColoringProg {
     schedule: Arc<[(u32, u64)]>,
@@ -546,6 +553,30 @@ pub struct ReducedColoringProg {
     phase: ReducePhase,
     /// Round at which the elimination phase started (= number of Linial rounds).
     eliminate_start: u64,
+}
+
+impl ReducedColoringProg {
+    /// The round every node halts in: elimination step `linial_palette − target` removes
+    /// the last class outside the target palette.
+    fn halt_round(&self) -> u64 {
+        self.eliminate_start + (self.linial_palette - self.target)
+    }
+
+    /// The round in which this node's colour class is recoloured — elimination step `s`
+    /// removes class `linial_palette − s` — or `None` if its colour is already in the target
+    /// palette or lies outside the Linial palette (possible under bad guesses, where no
+    /// step ever names it).
+    fn class_round(&self) -> Option<u64> {
+        (self.target..self.linial_palette)
+            .contains(&self.color)
+            .then(|| self.eliminate_start + (self.linial_palette - self.color))
+    }
+
+    /// Sleep until the next round this node has work in: its class step while its colour
+    /// still has one (a recoloured node's colour is in the target palette), else the halt.
+    fn next_wake(&self) -> Action<u64> {
+        Action::Wait(self.class_round().unwrap_or_else(|| self.halt_round()))
+    }
 }
 
 impl NodeProgram for ReducedColoringProg {
@@ -566,54 +597,56 @@ impl NodeProgram for ReducedColoringProg {
                         });
                     }
                 }
-                if step == self.schedule.len() {
-                    self.phase = ReducePhase::Eliminate;
-                    self.eliminate_start = t;
-                    if self.linial_palette <= self.target {
-                        self.phase = ReducePhase::Done;
-                        return Action::Halt(self.color);
-                    }
+                if step < self.schedule.len() {
+                    ctx.broadcast(self.color);
+                    return Action::Continue;
                 }
+                if self.linial_palette <= self.target {
+                    self.phase = ReducePhase::Done;
+                    return Action::Halt(self.color);
+                }
+                // The colour broadcast now is what the neighbours hold until this node's
+                // class step; nothing to do before it.
                 ctx.broadcast(self.color);
-                Action::Continue
+                self.phase = ReducePhase::Eliminate;
+                self.eliminate_start = t;
+                self.next_wake()
             }
             ReducePhase::Eliminate => {
-                // Elimination step s (s >= 1) removes colour class `linial_palette - s`.
-                let s = t - self.eliminate_start;
-                if s >= 1 {
-                    let class = self.linial_palette - s;
-                    if self.color == class && self.color >= self.target {
-                        // Recolour greedily into [0, target): smallest colour no neighbour
-                        // uses. Sort-and-scan over the reused scratch buffer instead of a
-                        // `BTreeSet` — same colour, no per-recolour allocation.
-                        let target = self.target;
-                        self.color = RECOLOR_SCRATCH.with(|s| {
-                            let used = &mut s.borrow_mut().neighbor_colors;
-                            used.clear();
-                            ctx.messages().for_each(|(_, &c)| {
-                                if c < target {
-                                    used.push(c);
-                                }
-                            });
-                            used.sort_unstable();
-                            let mut free = 0u64;
-                            for &c in used.iter() {
-                                if c == free {
-                                    free += 1;
-                                } else if c > free {
-                                    break;
-                                }
+                if self.class_round() == Some(t) {
+                    // Recolour greedily into [0, target): smallest colour no neighbour
+                    // uses. Sort-and-scan over the reused scratch buffer instead of a
+                    // `BTreeSet` — same colour, no per-recolour allocation.
+                    let target = self.target;
+                    self.color = RECOLOR_SCRATCH.with(|s| {
+                        let used = &mut s.borrow_mut().neighbor_colors;
+                        used.clear();
+                        for port in 0..ctx.degree() {
+                            match ctx.last_heard(port) {
+                                Some(&c) if c < target => used.push(c),
+                                _ => {}
                             }
-                            free.min(target.saturating_sub(1))
-                        });
-                    }
-                    if class <= self.target {
-                        self.phase = ReducePhase::Done;
-                        return Action::Halt(self.color);
+                        }
+                        used.sort_unstable();
+                        let mut free = 0u64;
+                        for &c in used.iter() {
+                            if c == free {
+                                free += 1;
+                            } else if c > free {
+                                break;
+                            }
+                        }
+                        free.min(target.saturating_sub(1))
+                    });
+                    if t < self.halt_round() {
+                        ctx.broadcast(self.color);
                     }
                 }
-                ctx.broadcast(self.color);
-                Action::Continue
+                if t >= self.halt_round() {
+                    self.phase = ReducePhase::Done;
+                    return Action::Halt(self.color);
+                }
+                self.next_wake()
             }
             ReducePhase::Done => Action::Halt(self.color),
         }

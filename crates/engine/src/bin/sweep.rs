@@ -36,8 +36,7 @@
 //! * `--store D`   the incremental result store's directory (default `target/sweep-store`):
 //!   CRC-checked append-only segment files; a re-sweep executes only cells whose inputs
 //!   changed. `--no-cache` disables it; of the two flags, the last one given wins. `sweep
-//!   store import CACHE_DIR --store D` migrates a legacy JSON cache; `sweep store bench`
-//!   measures the store on a synthetic grid.
+//!   store bench` measures the store on a synthetic grid.
 //! * `--stream`    stream cells to the result store instead of holding them in memory
 //!   (large grids); per-cell CSV is then produced by reading the store back. Requires the
 //!   store.
@@ -62,10 +61,8 @@ use local_engine::backend::{
 use local_engine::{
     default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
     CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, WorkloadSpec,
-    CODE_VERSION,
 };
 use local_graphs::{builtin_families, parse_family, FamilySpec};
-use serde::{Deserialize, Value};
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -288,8 +285,6 @@ USAGE:
   sweep --coordinate ADDR --connect HOST:PORT,… [--threads N] [--io-deadline-ms MS]
         [--stripes-per-peer N] [--faults SCRIPT] [--store DIR]
                                             run a multi-client coordinator over a fleet
-  sweep store import CACHE_DIR --store DIR [--base-seed S]
-                                            migrate a JSON cache into the binary store
   sweep store bench [--cells N] [--dir DIR] [--json PATH]
                                             benchmark the store on a synthetic grid
 
@@ -442,105 +437,6 @@ fn coordinate_main(raw: &[String], addr: &str) -> Result<(), String> {
     coordinate_forever(addr, config)
 }
 
-/// Why one JSON cache entry was not imported into the binary store.
-enum ImportSkip {
-    /// The entry's code version is not this binary's [`CODE_VERSION`]; its result is not
-    /// reproducible by this code and must not be served.
-    Version,
-    /// The entry's recorded execution seed disagrees with the seed its cell derives under
-    /// the requested base seed — it belongs to a different `--base-seed`.
-    Seed,
-    /// Not a parseable cache entry at all (torn file, foreign JSON, unknown label).
-    Unreadable,
-    /// The store already holds this cell (an earlier import or sweep wrote it).
-    Present,
-}
-
-/// Imports one JSON cache entry into the store. `Err` is fatal (the store write failed);
-/// `Ok(Err(skip))` records why the entry was passed over.
-fn import_entry(
-    store: &BinaryStore,
-    path: &std::path::Path,
-    base_seed: u64,
-) -> Result<Result<(), ImportSkip>, String> {
-    let unreadable = |_| ImportSkip::Unreadable;
-    let parse = || -> Result<(Scenario, CellResult), ImportSkip> {
-        let text = std::fs::read_to_string(path).map_err(|_| ImportSkip::Unreadable)?;
-        let value = serde_json::from_str(&text).map_err(unreadable)?;
-        if value.get("code_version").and_then(Value::as_str) != Some(CODE_VERSION) {
-            return Err(ImportSkip::Version);
-        }
-        let label = value.get("label").and_then(Value::as_str).ok_or(ImportSkip::Unreadable)?;
-        // A label spells the full cell identity: `problem/family/nSIZE/rREPLICATE`.
-        let parts: Vec<&str> = label.split('/').collect();
-        let [problem, family, n, replicate] = parts[..] else {
-            return Err(ImportSkip::Unreadable);
-        };
-        let cell = Scenario {
-            problem: parse_workload(problem).ok_or(ImportSkip::Unreadable)?,
-            family: parse_family(family).ok_or(ImportSkip::Unreadable)?,
-            n: n.strip_prefix('n').and_then(|v| v.parse().ok()).ok_or(ImportSkip::Unreadable)?,
-            replicate: replicate
-                .strip_prefix('r')
-                .and_then(|v| v.parse().ok())
-                .ok_or(ImportSkip::Unreadable)?,
-        };
-        let result = value
-            .get("cell")
-            .and_then(|cell| CellResult::from_value(cell).ok())
-            .ok_or(ImportSkip::Unreadable)?;
-        Ok((cell, result))
-    };
-    let (cell, result) = match parse() {
-        Ok(parsed) => parsed,
-        Err(skip) => return Ok(Err(skip)),
-    };
-    if cell.cell_seed(base_seed) != result.seed {
-        return Ok(Err(ImportSkip::Seed));
-    }
-    if store.load_columns(&cell, base_seed).is_some() {
-        return Ok(Err(ImportSkip::Present));
-    }
-    ResultStore::store(store, &cell, base_seed, &result)
-        .map_err(|e| format!("cannot store {}: {e}", cell.label()))?;
-    Ok(Ok(()))
-}
-
-/// `sweep store import CACHE_DIR --store DIR [--base-seed S]`: converts a legacy JSON
-/// cache into the segmented binary store, entry by entry, verifying each entry's code
-/// version and derived seed so a foreign or stale entry can never be served later.
-fn store_import(cache_dir: &str, store_dir: &str, base_seed: u64) -> Result<(), String> {
-    let store =
-        BinaryStore::open(store_dir).map_err(|e| format!("cannot open store {store_dir}: {e}"))?;
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(cache_dir)
-        .map_err(|e| format!("cannot read cache {cache_dir}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    let (mut imported, mut version, mut seed, mut unreadable, mut present) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for path in &paths {
-        match import_entry(&store, path, base_seed)? {
-            Ok(()) => imported += 1,
-            Err(ImportSkip::Version) => version += 1,
-            Err(ImportSkip::Seed) => seed += 1,
-            Err(ImportSkip::Unreadable) => unreadable += 1,
-            Err(ImportSkip::Present) => present += 1,
-        }
-    }
-    let stats = store.stats();
-    println!(
-        "store import: {imported} cells imported into {} ({} segments, {} bytes appended); \
-         skipped {version} foreign-version, {seed} seed-mismatched (base seed {base_seed}), \
-         {unreadable} unreadable, {present} already present",
-        store.dir().display(),
-        stats.segments,
-        stats.bytes_appended
-    );
-    Ok(())
-}
-
 /// A deterministic synthetic result for `sweep store bench` — realistic field shapes
 /// without running any algorithm.
 fn synthetic_result(cell: &Scenario, seed: u64) -> CellResult {
@@ -655,33 +551,10 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
     Ok(())
 }
 
-/// The `sweep store …` subcommand family: `import` migrates a legacy JSON cache into the
-/// binary store, `bench` measures the store on a synthetic grid.
+/// The `sweep store …` subcommand family: `bench` measures the store on a synthetic grid.
 fn store_main(raw: &[String]) -> ExitCode {
     let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
     let outcome = match raw.first().map(String::as_str) {
-        Some("import") => {
-            let Some(cache_dir) = raw.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!(
-                    "sweep store import: missing cache directory (usage: sweep store import \
-                     CACHE_DIR --store DIR [--base-seed S])"
-                );
-                return ExitCode::FAILURE;
-            };
-            let Some(store_dir) = get("--store") else {
-                eprintln!("sweep store import: missing --store DIR");
-                return ExitCode::FAILURE;
-            };
-            let base_seed = match get("--base-seed").map(|v| v.parse::<u64>()) {
-                Some(Ok(seed)) => seed,
-                Some(Err(e)) => {
-                    eprintln!("sweep store import: bad --base-seed: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => 0,
-            };
-            store_import(cache_dir, store_dir, base_seed)
-        }
         Some("bench") => {
             let cells = match get("--cells").map(|v| v.parse::<usize>()) {
                 Some(Ok(cells)) => cells.max(1),
@@ -696,8 +569,8 @@ fn store_main(raw: &[String]) -> ExitCode {
         }
         _ => {
             eprintln!(
-                "sweep store: expected a subcommand — import CACHE_DIR --store DIR \
-                 [--base-seed S], or bench [--cells N] [--dir DIR] [--json PATH]"
+                "sweep store: expected a subcommand — bench [--cells N] [--dir DIR] \
+                 [--json PATH]"
             );
             return ExitCode::FAILURE;
         }

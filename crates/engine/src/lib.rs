@@ -96,4 +96,4 @@ pub use workloads::{MeasuredRun, Workload, WorkloadSpec};
 /// [`CellShard`] of the multi-process protocol — a `sweep --worker` built from different
 /// code refuses the shard outright, because results across a version boundary are not
 /// comparable.
-pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r1");
+pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r2");

@@ -8,7 +8,6 @@
 //! as a long ETA even when most of the *count* is already done.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -144,6 +143,11 @@ impl ProgressMeter {
     /// Predicted seconds remaining: outstanding predicted micros over the observed
     /// predicted-micros throughput. `None` until at least one cell finished (no rate yet).
     pub fn eta_seconds(&self) -> Option<f64> {
+        self.eta_after(self.inner.started.elapsed().as_secs_f64())
+    }
+
+    /// [`ProgressMeter::eta_seconds`] with `elapsed` seconds since the sweep began.
+    fn eta_after(&self, elapsed: f64) -> Option<f64> {
         let done = self.inner.done.load(Ordering::Relaxed);
         if done == 0 {
             return None;
@@ -154,7 +158,6 @@ impl ProgressMeter {
         if predicted_done <= 0.0 {
             return None;
         }
-        let elapsed = self.inner.started.elapsed().as_secs_f64();
         let rate = predicted_done / elapsed.max(1e-6); // predicted-micros retired per second
         Some(((predicted_total - predicted_done).max(0.0) / rate).max(0.0))
     }
@@ -168,10 +171,9 @@ impl ProgressMeter {
             *last = Instant::now();
         }
         let line = self.status_line();
-        let mut err = std::io::stderr().lock();
-        // \x1b[K clears the remainder of a longer previous line.
-        let _ = write!(err, "\r{line}\x1b[K");
-        let _ = err.flush();
+        // \x1b[K clears the remainder of a longer previous line. Stderr is unbuffered,
+        // and `eprint!` is captured under `cargo test`, so test output stays clean.
+        eprint!("\r{line}\x1b[K");
     }
 }
 
@@ -214,9 +216,11 @@ mod tests {
         // ten times the elapsed time, not equal to it (cell *counts* would say 1:1).
         meter.begin(2, 0, vec![100.0, 1000.0]);
         meter.cell_done(0);
-        let eta = meter.eta_seconds().expect("one completion gives a rate");
-        let elapsed = meter.inner.started.elapsed().as_secs_f64();
-        let ratio = eta / elapsed.max(1e-9);
+        assert!(meter.eta_seconds().is_some(), "one completion gives a rate");
+        // A fixed elapsed time keeps the ratio free of clock reads between two calls.
+        let elapsed = 2.0;
+        let eta = meter.eta_after(elapsed).expect("one completion gives a rate");
+        let ratio = eta / elapsed;
         assert!((9.0..11.0).contains(&ratio), "eta/elapsed = {ratio}");
     }
 

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The measured outcome of one executed cell.
 ///
 /// `Deserialize` is what lets results come home from worker processes and daemons as
-/// JSON lines (`crate::backend`), and `sweep store import` read legacy JSON cache entries.
+/// JSON lines (`crate::backend`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
     /// Problem name (see `ProblemKind::name`).

@@ -2,20 +2,18 @@
 //! identical sweep on one handle is 100 % store hits, byte-identical to the first, and
 //! appends nothing; store-backed reports (cold and warm) are byte-identical
 //! (deterministic view) to a store-less sweep's; a streamed re-sweep summarizes through
-//! the columnar path without materializing a single `CellResult` row; `sweep store
-//! import` migrates a legacy JSON cache so the store re-serves its exact bytes; and the
-//! process backend writes through the store like the in-process pool does. The store's
+//! the columnar path without materializing a single `CellResult` row; and the process
+//! backend writes through the store like the in-process pool does. The store's
 //! cache behaviours (changed axes, code-version bumps, streaming) are in
 //! `cache_resweep.rs`.
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    report_from_store, run_grid, workload, BinaryStore, CellResult, ResultStore, Scenario,
-    ScenarioGrid, Sweep, SweepConfig, CODE_VERSION,
+    report_from_store, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid, Sweep,
+    SweepConfig,
 };
 use local_graphs::{family, Family};
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -36,17 +34,6 @@ fn small_grid() -> ScenarioGrid {
 
 fn open_store(dir: &Path) -> Arc<BinaryStore> {
     Arc::new(BinaryStore::open(dir).expect("store opens"))
-}
-
-/// One legacy JSON cache entry — the `{"code_version","label","cell"}` envelope the
-/// retired one-file-per-cell cache wrote, which `sweep store import` reads.
-fn legacy_entry(code_version: &str, cell: &Scenario, result: &CellResult) -> String {
-    format!(
-        "{{\"code_version\":{},\"label\":{},\"cell\":{}}}",
-        serde_json::to_string(&code_version).expect("string serializes"),
-        serde_json::to_string(&cell.label()).expect("string serializes"),
-        serde_json::to_string(result).expect("cell serializes"),
-    )
 }
 
 #[test]
@@ -137,60 +124,6 @@ fn streamed_columnar_resweep_materializes_no_rows() {
     assert_eq!(offline.cache_hits, grid.cell_count());
     assert_eq!(reopened.rows_materialized(), 0, "report_from_store must stay columnar");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn store_import_migrates_a_json_cache_byte_identically() {
-    let cache_dir = temp_dir("import-json");
-    let store_dir = temp_dir("import-bin");
-    let grid = small_grid();
-    let seeded = run_grid(&grid, &SweepConfig::with_threads(2));
-    let cells = grid.cells();
-    let entry = |version: &str, i: usize| legacy_entry(version, &cells[i], &seeded.cells[i]);
-    let write = |name: &str, text: &str| {
-        std::fs::write(cache_dir.join(name), text).expect("cache entry writes");
-    };
-    std::fs::create_dir_all(&cache_dir).expect("cache dir creates");
-    for i in 0..cells.len() {
-        write(&format!("cell-{i:04}.json"), &entry(CODE_VERSION, i));
-    }
-    // One entry from other code and one torn mid-write: both must be skipped, never served.
-    write("foreign.json", &entry("local-engine-0.0.0+r0", 0));
-    let torn = entry(CODE_VERSION, 1);
-    write("torn.json", &torn[..torn.len() / 2]);
-
-    let import = |expect: &[&str]| {
-        let output = Command::new(env!("CARGO_BIN_EXE_sweep"))
-            .args([
-                "store",
-                "import",
-                cache_dir.to_str().expect("utf-8 temp dir"),
-                "--store",
-                store_dir.to_str().expect("utf-8 temp dir"),
-                "--base-seed",
-                "5",
-            ])
-            .output()
-            .expect("sweep store import runs");
-        assert!(output.status.success(), "import failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
-        for part in expect {
-            assert!(stdout.contains(part), "expected {part:?} in import accounting: {stdout}");
-        }
-    };
-    let skips = ["skipped 1 foreign-version, 0 seed-mismatched", "1 unreadable"];
-    import(&[&format!("store import: {} cells imported", grid.cell_count()), skips[0], skips[1]]);
-    // A second import is a no-op: every entry is already present.
-    let present = format!("{} already present", grid.cell_count());
-    import(&["store import: 0 cells imported", skips[0], skips[1], &present]);
-
-    // A re-sweep through the migrated store serves the seed run's exact cells.
-    let resweep = run_grid(&grid, &SweepConfig::with_threads(2).with_store(open_store(&store_dir)));
-    assert_eq!(resweep.cache_hits, resweep.cell_count, "migrated cells must all hit");
-    assert_eq!(seeded.to_csv_with(true), resweep.to_csv_with(true));
-    assert_eq!(seeded.summaries, resweep.summaries);
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 #[test]

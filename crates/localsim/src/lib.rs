@@ -15,12 +15,14 @@
 //!   (needed between the iterations of the paper's *alternating algorithms*).
 //! * [`NodeProgram`] / [`ProgramSpec`] — per-node automata and their factories. Uniform
 //!   algorithms receive no global knowledge; non-uniform algorithms receive their parameter
-//!   guesses through the spec.
+//!   guesses through the spec. A node may sleep until a later round ([`Action::Wait`]) and
+//!   read the newest message a port delivered ([`RoundCtx::last_heard`]), so programs can
+//!   send only changes (see [`program`]).
 //! * [`run`] — the round-driving engine with a round budget (the paper's *restriction to `i`
 //!   rounds*) and exact round accounting.
 //! * [`GraphView`] / [`Session`] — the zero-rebuild execution core: live-mask views that let
 //!   pruning shrink a configuration without copying the CSR, and reusable sessions whose
-//!   frontier-driven round loop ([`run_view`]) touches only active nodes and live inboxes —
+//!   frontier-driven round loop ([`run_view`]) steps only awake, non-halted nodes —
 //!   byte-identical to [`run`] on the materialized subgraph.
 //!
 //! ## Example

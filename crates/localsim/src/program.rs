@@ -9,6 +9,19 @@
 //! Nodes signal termination by returning [`Action::Halt`] with their final output; the
 //! paper's "restricted to `i` rounds" operation is realised by the runtime's round budget,
 //! which forces undecided nodes to the spec's [`ProgramSpec::default_output`].
+//!
+//! # Event-driven rounds
+//!
+//! A node with nothing to do for a while returns [`Action::Wait`]`(until)`: it leaves the
+//! runtime's frontier and takes its next step in round `until`, and when no node is awake
+//! the round clock jumps straight to the next wake round. Jumped rounds still count as
+//! LOCAL rounds (termination rounds, budgets and traces are unchanged); only the work of
+//! stepping idle nodes disappears. A sleeping node is *not* woken by messages: what it
+//! missed is still readable on wake-up through [`RoundCtx::last_heard`], the newest message
+//! of this run on a port up to the previous round. Together the two let a program send a
+//! value only when it changes — a receiver keeps the last value it heard instead of
+//! expecting a re-broadcast every round — which is how the colour elimination of
+//! `local-algos` charges one message per recolouring instead of one per arc per round.
 
 use crate::graph::{NodeId, NodeIndex};
 use rand_chacha::ChaCha8Rng;
@@ -48,6 +61,11 @@ pub struct NodeInit<'a, I> {
 pub enum Action<O> {
     /// Keep running: the node participates in the next round.
     Continue,
+    /// Sleep until round `until`: the node takes no step before that round (messages sent
+    /// to it meanwhile are not lost — see [`RoundCtx::last_heard`]). Messages queued in the
+    /// current round are still delivered. `until <= round + 1` is the same as
+    /// [`Action::Continue`]; a round budget that ends first cuts the node off as usual.
+    Wait(u64),
     /// Terminate with the given final output. The node sends no further messages and its
     /// `round` method is never called again.
     Halt(O),
@@ -110,8 +128,8 @@ pub struct Incoming<M> {
 /// The inbox is staged *lazily*: the runtime hands the context the node's raw dense-arc
 /// stamp/payload segments, and the first call to [`RoundCtx::inbox`] (or
 /// [`RoundCtx::received_on`]) scans the stamps and clones out the matching payloads. Nodes
-/// that skip their inbox in a round (e.g. a colour class waiting its turn) pay nothing for
-/// the messages they ignore.
+/// that skip their inbox in a round (e.g. a node that acts only in some rounds) pay nothing
+/// for the messages they ignore.
 pub struct RoundCtx<'a, M> {
     pub(crate) round: u64,
     pub(crate) degree: usize,
@@ -126,6 +144,12 @@ pub struct RoundCtx<'a, M> {
     pub(crate) payloads: &'a [Option<M>],
     /// Stamp value marking messages sent in the previous round.
     pub(crate) read_tick: u64,
+    /// The node's segment of the other-parity arena (this round's write arena) and its
+    /// payloads: together with `stamps` the two newest cells of each incoming arc.
+    pub(crate) twin_stamps: &'a [u64],
+    pub(crate) twin_payloads: &'a [Option<M>],
+    /// Stamp of this run's round 0; older stamps belong to earlier runs of the session.
+    pub(crate) tick_base: u64,
     pub(crate) outbox: &'a mut Vec<(usize, M)>,
     pub(crate) broadcast: &'a mut Option<M>,
     /// Lazily-drawn private random stream: the slot belongs to the run whose tick stamp
@@ -189,6 +213,31 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     pub fn received_on(&mut self, port: usize) -> Option<&M> {
         self.stage();
         self.inbox.iter().find(|m| m.port == port).map(|m| &m.msg)
+    }
+
+    /// The newest message received on `port` during this run, up to and including the
+    /// previous round (the one [`RoundCtx::received_on`] would return, if any), or `None`
+    /// when the neighbour has sent nothing on that port yet in this run.
+    ///
+    /// This is what lets a program send only *changes*: a sender that broadcasts its value
+    /// once and then stays silent is still heard, however many rounds later — including by
+    /// a node that was asleep ([`Action::Wait`]) when the message arrived. Two stamped
+    /// cells per arc suffice because delivery copies an older message forward before
+    /// overwriting its cell (see the session's arena docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port >= degree()`.
+    pub fn last_heard(&self, port: usize) -> Option<&M> {
+        let heard = |stamp: u64| (self.tick_base..=self.read_tick).contains(&stamp);
+        let (own, twin) = (self.stamps[port], self.twin_stamps[port]);
+        let payload = match (heard(own), heard(twin)) {
+            (true, true) if twin > own => &self.twin_payloads[port],
+            (true, _) => &self.payloads[port],
+            (false, true) => &self.twin_payloads[port],
+            (false, false) => return None,
+        };
+        payload.as_ref()
     }
 
     /// Fills the staging buffer from the raw stamp/payload segments on first access: a
@@ -354,6 +403,9 @@ mod tests {
             stamps: &stamps,
             payloads: &payloads,
             read_tick: 5,
+            twin_stamps: &[0, 2, 4],
+            twin_payloads: &[None, Some(17), Some(29)],
+            tick_base: 3,
             outbox: &mut outbox,
             broadcast: &mut bcast,
             rng_slot: &mut rng_slot,
@@ -365,6 +417,12 @@ mod tests {
         assert_eq!(ctx.received_on(1), Some(&42));
         assert_eq!(ctx.received_on(0), None);
         assert_eq!(ctx.inbox().len(), 1);
+        // `last_heard` takes the newer in-run cell of each arc: port 0's own cell (stamp 3,
+        // the run's first tick) beats a never-written twin; port 1 heard this round; port
+        // 2's twin (stamp 4) is the only cell of this run.
+        assert_eq!(ctx.last_heard(0), Some(&13));
+        assert_eq!(ctx.last_heard(1), Some(&42));
+        assert_eq!(ctx.last_heard(2), Some(&29));
         ctx.send(2, 7);
         ctx.broadcast(9);
         {
@@ -439,6 +497,9 @@ mod tests {
             stamps: &[0],
             payloads: &[None],
             read_tick: 1,
+            twin_stamps: &[0],
+            twin_payloads: &[None],
+            tick_base: 1,
             outbox: &mut outbox,
             broadcast: &mut bcast,
             rng_slot: &mut rng_slot,

@@ -6,12 +6,13 @@
 //! and is reset — not reallocated — between attempts; callers (the transformers, the engine's
 //! worker threads) keep one session alive across a whole alternation run or grid shard.
 //!
-//! The round loop itself is frontier-driven: it iterates an *active worklist* of non-halted
-//! nodes (in the synchronous LOCAL model every non-halted node takes a step each round, so the
-//! frontier is exactly the non-halted set) and touches only the inboxes that actually received
-//! messages, instead of scanning all `n` nodes and `n` inboxes per round. Iteration order is
-//! ascending node index — identical to the dense scan — so executions are byte-identical to
-//! the classic [`crate::runner::run`] loop.
+//! The round loop itself is frontier-driven: it iterates an *active worklist* of the nodes
+//! that are neither halted nor asleep, instead of scanning all `n` nodes per round. A node
+//! that returns [`Action::Wait`] parks in a wake heap and rejoins the worklist in its wake
+//! round; when the worklist is empty the clock jumps to the next wake round, charging the
+//! skipped rounds as ordinary (silent) LOCAL rounds. Iteration order is ascending node index
+//! — identical to the dense scan — so executions are byte-identical to the classic
+//! [`crate::runner::run`] loop.
 
 use crate::graph::{Graph, NodeId};
 use crate::program::{Action, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
@@ -21,7 +22,8 @@ use crate::trace::{ExecutionTrace, RoundTrace};
 use crate::view::GraphView;
 use rand_chacha::ChaCha8Rng;
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Read access to a communication topology, as needed by the round loop.
 ///
@@ -200,41 +202,67 @@ impl InitSlab {
 /// a gap between runs), so stale cells never match and nothing is ever cleared or swapped —
 /// the per-message cost drops to one indexed write, and the per-round bookkeeping of the
 /// previous inbox design (touched lists, buffer swaps, clears) disappears entirely.
+///
+/// The two cells of an arc also keep the arc's newest message for
+/// [`RoundCtx::last_heard`]. A sender that skips rounds could otherwise overwrite it: sent
+/// in `r − 2`, silent in `r − 1`, sent again in `r` before the receiver's step, the new
+/// message lands on the `r − 2` cell while its twin holds something older. So delivery
+/// first moves a cell that is older than the current tick but newer than its twin into the
+/// twin (see [`deliver`]); a sender that sends every round never triggers the move.
 struct MsgBuffers<M> {
-    /// Tick stamp per arc, one arena per round parity; `stamp == 0` marks a never-written
-    /// cell (ticks start at 1). Kept separate from the payloads so the per-node inbox scan
-    /// is a dense `u64` pass instead of a strided walk over `(u64, Option<M>)` pairs.
-    stamps: [Vec<u64>; 2],
-    /// Message payload per arc, parallel to `stamps`.
-    payloads: [Vec<Option<M>>; 2],
+    /// One arena per round parity.
+    arenas: [Arena<M>; 2],
     /// The inbox staging buffer served to the running node (port-ascending).
     inbox: Vec<Incoming<M>>,
     /// The outbox staging buffer handed to the running node.
     outbox: Vec<(usize, M)>,
 }
 
-impl<M> MsgBuffers<M> {
-    fn new() -> Self {
-        MsgBuffers {
-            stamps: [Vec::new(), Vec::new()],
-            payloads: [Vec::new(), Vec::new()],
-            inbox: Vec::new(),
-            outbox: Vec::new(),
+/// One parity's arena: a stamp per arc and the payload parallel to it.
+struct Arena<M> {
+    /// Tick stamp per arc; `stamp == 0` marks a never-written cell (ticks start at 1). Kept
+    /// separate from the payloads so the per-node inbox scan is a dense `u64` pass instead
+    /// of a strided walk over `(u64, Option<M>)` pairs.
+    stamps: Vec<u64>,
+    /// Message payload per arc, parallel to `stamps`.
+    payloads: Vec<Option<M>>,
+}
+
+impl<M> Arena<M> {
+    /// Grows the arena to `arcs` cells; never shrinks, so capacities stay warm.
+    fn grow(&mut self, arcs: usize) {
+        if self.stamps.len() < arcs {
+            self.stamps.resize(arcs, 0);
+            self.payloads.resize_with(arcs, || None);
         }
     }
+}
 
-    /// Grows the arenas to `arcs` cells (never shrinks — capacities stay warm) and clears the
-    /// staging buffers. Stale cells need no reset: their stamps can never match a fresh tick.
+/// Writes `msg`, stamped `tick`, into cell `arc` of the write arena `send`, first moving an
+/// older message the cell holds into the read arena `twin` if it is newer than what the
+/// twin holds (the copy-forward that keeps [`RoundCtx::last_heard`] exact).
+#[inline]
+fn deliver<M>(send: &mut Arena<M>, twin: &mut Arena<M>, arc: usize, tick: u64, msg: M) {
+    let stamp = send.stamps[arc];
+    if stamp < tick && stamp > twin.stamps[arc] {
+        twin.stamps[arc] = stamp;
+        twin.payloads[arc] = send.payloads[arc].take();
+    }
+    send.stamps[arc] = tick;
+    send.payloads[arc] = Some(msg);
+}
+
+impl<M> MsgBuffers<M> {
+    fn new() -> Self {
+        let arena = || Arena { stamps: Vec::new(), payloads: Vec::new() };
+        MsgBuffers { arenas: [arena(), arena()], inbox: Vec::new(), outbox: Vec::new() }
+    }
+
+    /// Grows the arenas to `arcs` cells and clears the staging buffers. Stale cells need no
+    /// reset: their stamps can never match a fresh tick.
     fn reset(&mut self, arcs: usize) {
-        for arena in &mut self.stamps {
-            if arena.len() < arcs {
-                arena.resize(arcs, 0);
-            }
-        }
-        for arena in &mut self.payloads {
-            if arena.len() < arcs {
-                arena.resize_with(arcs, || None);
-            }
+        for arena in &mut self.arenas {
+            arena.grow(arcs);
         }
         self.inbox.clear();
         self.outbox.clear();
@@ -259,7 +287,10 @@ pub struct Session {
     rngs: Vec<Option<(u64, ChaCha8Rng)>>,
     halted: Vec<bool>,
     termination: Vec<u64>,
+    /// The frontier: awake, non-halted nodes in ascending index order.
     active: Vec<usize>,
+    /// Sleeping nodes keyed by wake round (then index), see [`Action::Wait`].
+    wake: BinaryHeap<Reverse<(u64, usize)>>,
     /// Monotone round-tick source shared by every run of this session; the message arenas'
     /// stamps are drawn from it, which is what lets stale cells persist unswept.
     next_tick: u64,
@@ -462,29 +493,47 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     }
 
     let limit = cfg.max_rounds.unwrap_or(cfg.hard_cap).min(cfg.hard_cap);
-    let mut rounds_executed = 0u64;
     let mut active_count = n;
+    session.wake.clear();
 
     let mut round: u64 = 0;
     while active_count > 0 && round < limit {
+        if session.active.is_empty() {
+            // Everybody left is asleep: jump to the next wake round (or the budget), each
+            // skipped round a silent LOCAL round.
+            let Reverse((next, _)) = *session.wake.peek().expect("non-halted nodes sleep");
+            while round < next.min(limit) {
+                record_round(trace.as_mut(), obs_on, round, active_count, 0);
+                round += 1;
+            }
+            if round == limit {
+                break;
+            }
+        }
+        let awake = session.active.len();
+        while let Some(&Reverse((at, v))) = session.wake.peek() {
+            if at > round {
+                break;
+            }
+            session.wake.pop();
+            session.active.push(v);
+        }
+        if session.active.len() > awake {
+            session.active.sort_unstable();
+        }
         let send_tick = tick_base + round;
         let read_tick = send_tick - 1;
-        // Split the parity arenas into this round's read half (shared, scanned lazily by
-        // the contexts) and write half (delivery target) — disjoint borrows, no swap.
-        let [stamps_even, stamps_odd] = &mut msgs.stamps;
-        let [payloads_even, payloads_odd] = &mut msgs.payloads;
-        let (read_stamps, read_payloads, send_stamps, send_payloads) =
-            if read_tick.is_multiple_of(2) {
-                (&*stamps_even, &*payloads_even, stamps_odd, payloads_odd)
-            } else {
-                (&*stamps_odd, &*payloads_odd, stamps_even, payloads_even)
-            };
+        // Split the parity arenas into this round's read half (scanned lazily by the
+        // contexts) and write half (delivery target) — disjoint borrows, no swap.
+        let [even, odd] = &mut msgs.arenas;
+        let (read, send) = if read_tick.is_multiple_of(2) { (even, odd) } else { (odd, even) };
         let mut delivered_this_round = 0u64;
-        let mut any_halt = false;
+        let mut kept = 0;
         for idx in 0..session.active.len() {
             let v = session.active[idx];
             let base = slab.offsets[v] as usize;
             let degree = slab.degree(v);
+            let cells = base..base + degree;
             outbox.clear();
             bcast = None;
             // The inbox is staged lazily: the context gets the node's raw dense-arc
@@ -497,9 +546,12 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                     neighbor_ids: slab.neighbors(v),
                     inbox: &mut inbox,
                     staged: &mut staged,
-                    stamps: &read_stamps[base..base + degree],
-                    payloads: &read_payloads[base..base + degree],
+                    stamps: &read.stamps[cells.clone()],
+                    payloads: &read.payloads[cells.clone()],
                     read_tick,
+                    twin_stamps: &send.stamps[cells.clone()],
+                    twin_payloads: &send.payloads[cells.clone()],
+                    tick_base,
                     outbox: &mut outbox,
                     broadcast: &mut bcast,
                     rng_slot: &mut session.rngs[v],
@@ -508,52 +560,40 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 programs[v].round(&mut ctx)
             };
             // Deliver: `arrival_arc` holds the receiving cell of each port, so a message is
-            // one contiguous read plus two indexed writes — no topology access.
+            // one contiguous read plus indexed writes — no topology access.
             if let Some(msg) = bcast.take() {
-                for &arc in &slab.arrival_arc[base..base + degree] {
-                    send_stamps[arc as usize] = send_tick;
-                    send_payloads[arc as usize] = Some(msg.clone());
+                for &arc in &slab.arrival_arc[cells] {
+                    deliver(send, read, arc as usize, send_tick, msg.clone());
                 }
                 delivered_this_round += degree as u64;
             }
             for (port, msg) in outbox.drain(..) {
-                let arc = slab.arrival_arc[base + port] as usize;
-                send_stamps[arc] = send_tick;
-                send_payloads[arc] = Some(msg);
+                deliver(send, read, slab.arrival_arc[base + port] as usize, send_tick, msg);
                 delivered_this_round += 1;
             }
-            if let Action::Halt(out) = action {
-                outputs[v] = out;
-                // Halting during round r means the node used r communication rounds.
-                session.termination[v] = round;
-                session.halted[v] = true;
-                active_count -= 1;
-                any_halt = true;
+            match action {
+                Action::Wait(until) if until > round + 1 => {
+                    session.wake.push(Reverse((until, v)));
+                }
+                Action::Continue | Action::Wait(_) => {
+                    session.active[kept] = v;
+                    kept += 1;
+                }
+                Action::Halt(out) => {
+                    outputs[v] = out;
+                    // Halting during round r means the node used r communication rounds.
+                    session.termination[v] = round;
+                    session.halted[v] = true;
+                    active_count -= 1;
+                }
             }
         }
+        session.active.truncate(kept);
         messages += delivered_this_round;
-        if any_halt {
-            session.active.retain(|&v| !session.halted[v]);
-        }
+        record_round(trace.as_mut(), obs_on, round, active_count, delivered_this_round);
         round += 1;
-        rounds_executed = round;
-        if obs_on {
-            local_obs::counter_add(local_obs::metrics::ROUNDS, 1);
-            local_obs::counter_add(local_obs::metrics::MESSAGES_SENT, delivered_this_round);
-            local_obs::record(
-                local_obs::metrics::ACTIVE_NODES,
-                local_obs::LabelId::NONE,
-                active_count as u64,
-            );
-        }
-        if let Some(t) = trace.as_mut() {
-            t.rounds.push(RoundTrace {
-                round: round - 1,
-                active_nodes: active_count,
-                messages: delivered_this_round,
-            });
-        }
     }
+    let rounds_executed = round;
     session.put_program_buf(programs);
 
     let completed = active_count == 0;
@@ -581,6 +621,29 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     session.slab = slab;
 
     Execution { outputs, rounds, termination, halted, messages, completed, trace }
+}
+
+/// Closes round `round` in the trace and the observability counters: `active` nodes are
+/// still running (awake or asleep) and `delivered` messages were sent.
+fn record_round(
+    trace: Option<&mut ExecutionTrace>,
+    obs_on: bool,
+    round: u64,
+    active: usize,
+    delivered: u64,
+) {
+    if obs_on {
+        local_obs::counter_add(local_obs::metrics::ROUNDS, 1);
+        local_obs::counter_add(local_obs::metrics::MESSAGES_SENT, delivered);
+        local_obs::record(
+            local_obs::metrics::ACTIVE_NODES,
+            local_obs::LabelId::NONE,
+            active as u64,
+        );
+    }
+    if let Some(t) = trace {
+        t.rounds.push(RoundTrace { round, active_nodes: active, messages: delivered });
+    }
 }
 
 #[cfg(test)]
@@ -626,6 +689,157 @@ mod tests {
     fn path(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_edges(n, &edges).unwrap()
+    }
+
+    /// Scripted senders and listeners for the event-driven primitives: a node whose identity
+    /// is `sender` broadcasts the round number in each round of `sends`; every other node
+    /// logs `(round, last_heard(0))` in each round it is awake, sleeping from round 0 to
+    /// `sleep_until`. Everyone halts in round `halt_at`.
+    struct ScriptSpec {
+        sender: NodeId,
+        sends: Vec<u64>,
+        sleep_until: u64,
+        halt_at: u64,
+    }
+    struct ScriptProg {
+        sends: Option<Vec<u64>>,
+        sleep_until: u64,
+        halt_at: u64,
+        log: Vec<(u64, Option<u64>)>,
+    }
+    impl NodeProgram for ScriptProg {
+        type Msg = u64;
+        type Output = Vec<(u64, Option<u64>)>;
+        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) -> Action<Self::Output> {
+            let r = ctx.round();
+            match &self.sends {
+                Some(sends) if sends.contains(&r) => ctx.broadcast(r),
+                Some(_) => {}
+                None => self.log.push((r, ctx.last_heard(0).copied())),
+            }
+            if r == self.halt_at {
+                return Action::Halt(std::mem::take(&mut self.log));
+            }
+            match self.sends {
+                Some(_) => Action::Continue,
+                None => Action::Wait(self.sleep_until.max(r + 1)),
+            }
+        }
+    }
+    impl ProgramSpec for ScriptSpec {
+        type Input = ();
+        type Msg = u64;
+        type Output = Vec<(u64, Option<u64>)>;
+        type Prog = ScriptProg;
+        fn build(&self, init: &NodeInit<()>) -> ScriptProg {
+            ScriptProg {
+                sends: (init.id == self.sender).then(|| self.sends.clone()),
+                sleep_until: self.sleep_until,
+                halt_at: self.halt_at,
+                log: Vec::new(),
+            }
+        }
+        fn default_output(&self, _init: &NodeInit<()>) -> Self::Output {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn last_heard_survives_a_skipped_round_by_an_earlier_sender() {
+        // Node 0 (lower index: it steps, and delivers, before node 1 in every round) sends
+        // in rounds 0, 1 and 3. In round 3 its new message lands on the cell that holds the
+        // round-1 message, whose twin holds the older round-0 one: only the copy-forward on
+        // delivery keeps round 1 readable for node 1 in round 3.
+        let g = path(2);
+        let spec = ScriptSpec { sender: g.id(0), sends: vec![0, 1, 3], sleep_until: 0, halt_at: 4 };
+        let run = run_view(
+            &GraphView::full(&g),
+            &[(); 2],
+            &spec,
+            &RunConfig::seeded(0),
+            &mut Session::new(),
+        );
+        assert_eq!(
+            run.outputs[1],
+            vec![(0, None), (1, Some(0)), (2, Some(1)), (3, Some(1)), (4, Some(3))]
+        );
+        // The same after sleeping through rounds 1 and 2.
+        let sleepy = ScriptSpec { sleep_until: 3, ..spec };
+        let run = run_view(
+            &GraphView::full(&g),
+            &[(); 2],
+            &sleepy,
+            &RunConfig::seeded(0),
+            &mut Session::new(),
+        );
+        assert_eq!(run.outputs[1], vec![(0, None), (3, Some(1)), (4, Some(3))]);
+        assert_eq!(run.termination, vec![4, 4]);
+    }
+
+    #[test]
+    fn last_heard_never_shows_an_earlier_run() {
+        let g = path(3);
+        let view = GraphView::full(&g);
+        let mut session = Session::new();
+        let cfg = RunConfig::seeded(0);
+        // Node 1 talks to both neighbours in every round of the first run.
+        let loud =
+            ScriptSpec { sender: g.id(1), sends: (0..6).collect(), sleep_until: 0, halt_at: 5 };
+        let first = run_view(&view, &[(); 3], &loud, &cfg, &mut session);
+        assert_eq!(first.outputs[0][5], (5, Some(4)));
+        // A second run in which nobody sends: every cell is a stale one from the first run
+        // (both parities, since the first run sent on every round).
+        for sleep_until in [0, 4] {
+            let silent = ScriptSpec { sender: g.id(1), sends: vec![], sleep_until, halt_at: 5 };
+            let second = run_view(&view, &[(); 3], &silent, &cfg, &mut session);
+            for v in [0, 2] {
+                assert!(second.outputs[v].iter().all(|&(_, heard)| heard.is_none()), "{second:?}");
+            }
+        }
+        // A pruned view renumbers the arcs; still nothing from earlier runs shows through.
+        let mut pruned = GraphView::full(&g);
+        pruned.retain(&[false, true, true]);
+        let silent = ScriptSpec { sender: g.id(1), sends: vec![], sleep_until: 0, halt_at: 3 };
+        let third = run_view(&pruned, &[(); 2], &silent, &cfg, &mut session);
+        assert!(third.outputs[1].iter().all(|&(_, heard)| heard.is_none()));
+    }
+
+    #[test]
+    fn waiting_nodes_jump_the_clock_but_every_round_counts() {
+        let g = path(5);
+        let nobody = g.node_count() as NodeId + 100;
+        let spec = ScriptSpec { sender: nobody, sends: vec![], sleep_until: 50, halt_at: 50 };
+        let cfg = RunConfig::seeded(1).with_trace();
+        let run = run_view(&GraphView::full(&g), &[(); 5], &spec, &cfg, &mut Session::new());
+        assert_eq!(run.rounds, 50);
+        assert_eq!(run.termination, vec![50; 5]);
+        assert!(run.completed);
+        let trace = run.trace.expect("trace requested");
+        let rounds: Vec<u64> = trace.rounds.iter().map(|t| t.round).collect();
+        assert_eq!(rounds, (0..=50).collect::<Vec<u64>>(), "one RoundTrace per LOCAL round");
+        assert!(trace.rounds[..50].iter().all(|t| t.active_nodes == 5 && t.messages == 0));
+        assert_eq!(trace.rounds[50].active_nodes, 0);
+        assert_eq!(run.outputs[0], vec![(0, None), (50, None)]);
+    }
+
+    #[test]
+    fn a_budget_that_ends_during_a_jump_charges_exactly_the_budget() {
+        let g = path(4);
+        let nobody = g.node_count() as NodeId + 100;
+        let spec = ScriptSpec { sender: nobody, sends: vec![], sleep_until: 50, halt_at: 50 };
+        let mut session = Session::new();
+        let cfg = RunConfig::seeded(2).with_budget(20).with_trace();
+        let run = run_view(&GraphView::full(&g), &[(); 4], &spec, &cfg, &mut session);
+        assert_eq!(run.rounds, 20);
+        assert_eq!(run.termination, vec![20; 4]);
+        assert!(!run.completed && run.halted.iter().all(|&h| !h));
+        assert_eq!(run.trace.expect("trace requested").rounds.len(), 20);
+        // The cut-off sleepers do not leak into the next run of the session.
+        let awake = ScriptSpec { sender: nobody, sends: vec![], sleep_until: 0, halt_at: 2 };
+        let next =
+            run_view(&GraphView::full(&g), &[(); 4], &awake, &RunConfig::seeded(2), &mut session);
+        assert_eq!(next.termination, vec![2; 4]);
+        assert_eq!(next.outputs[0], vec![(0, None), (1, None), (2, None)]);
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub struct SegmentStore {
     dir: PathBuf,
     config: StoreConfig,
     state: Mutex<State>,
-    /// Held, never read: dropping the handle closes it and releases the lock.
-    _lock: File,
+    /// Held for the handle's lifetime; `Drop` releases the lock explicitly.
+    lock: File,
 }
 
 /// The file every open handle holds an exclusive `flock` on. The kernel drops
@@ -123,6 +123,16 @@ fn lock_store(dir: &Path) -> io::Result<File> {
             format!("store {} is already open in another handle or process", dir.display()),
         )),
         Err(fs::TryLockError::Error(err)) => Err(err),
+    }
+}
+
+impl Drop for SegmentStore {
+    /// Unlocks before the file closes. A `flock` belongs to the open file
+    /// description, which a child spawned by another thread shares between its
+    /// `fork` and `exec`; closing only this handle's descriptor would leave the
+    /// store locked until that child execs, so a prompt reopen could fail.
+    fn drop(&mut self) {
+        let _ = self.lock.unlock();
     }
 }
 
@@ -259,7 +269,7 @@ impl SegmentStore {
                 readers: HashMap::new(),
                 stats,
             }),
-            _lock: lock,
+            lock,
         })
     }
 
@@ -390,6 +400,20 @@ mod tests {
         let reopened = SegmentStore::open(&dir).unwrap();
         assert_eq!(reopened.get(b"key").as_deref(), Some(b"v2".as_slice()));
         assert_eq!(reopened.stats().records_indexed, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_a_handle_unlocks_descriptors_it_shares() {
+        let dir = temp_dir("shared-lock-fd");
+        let first = SegmentStore::open(&dir).unwrap();
+        // A duplicate shares the open file description, as a child spawned
+        // between `fork` and `exec` does; it must not keep the store locked.
+        let inherited = first.lock.try_clone().unwrap();
+        drop(first);
+        let reopened = SegmentStore::open(&dir).unwrap();
+        drop(inherited);
+        drop(reopened);
         let _ = fs::remove_dir_all(&dir);
     }
 
