@@ -16,25 +16,22 @@
 //! repeated attempts is a tier-1 test (`local-algos`' `steady_state_allocations`). The bench
 //! writes `target/alternation_hotpath.json` (wall micros per scenario).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use local_runtime::Session;
 use local_uniform::rebuild::SeedRulingSetPruning;
 use local_uniform::transform::UniformTransformer;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Times `f` over `samples` runs and returns the mean wall micros.
 fn mean_micros<R>(samples: u32, mut f: impl FnMut() -> R) -> u64 {
     let started = Instant::now();
     for _ in 0..samples {
-        criterion::black_box(f());
+        black_box(f());
     }
     (started.elapsed().as_micros() as u64) / u64::from(samples.max(1))
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alternation_hotpath");
-    group.sample_size(10).measurement_time(Duration::from_secs(5));
-
+fn main() {
     let g = local_graphs::Family::SparseGnp.generate(10_000, 1);
     let inputs = vec![(); g.node_count()];
 
@@ -51,22 +48,6 @@ fn bench(c: &mut Criterion) {
     assert_eq!(fast.outputs, reference.outputs);
     assert_eq!(fast.rounds, reference.rounds);
 
-    group.bench_function("view_session_ps_mis_n10000", |b| {
-        let mut session = local_runtime::Session::new();
-        b.iter(|| {
-            let run = ps.solve_in(&g, &inputs, 7, &mut session);
-            assert!(run.solved);
-            run.rounds
-        })
-    });
-    group.bench_function("rebuild_reference_ps_mis_n10000", |b| {
-        b.iter(|| {
-            let run = ps_reference.solve_rebuild(&g, &inputs, 7);
-            assert!(run.solved);
-            run.rounds
-        })
-    });
-
     // ---- Simulation-dominated workload: the colouring-based MIS box. ----
     let coloring = local_uniform::catalog::uniform_coloring_mis();
     let coloring_reference = UniformTransformer::new(
@@ -79,23 +60,6 @@ fn bench(c: &mut Criterion) {
     assert!(fast.solved);
     assert_eq!(fast.outputs, reference.outputs);
     assert_eq!(fast.rounds, reference.rounds);
-
-    group.bench_function("view_session_coloring_mis_n10000", |b| {
-        let mut session = local_runtime::Session::new();
-        b.iter(|| {
-            let run = coloring.solve_in(&g, &inputs, 7, &mut session);
-            assert!(run.solved);
-            run.rounds
-        })
-    });
-    group.bench_function("rebuild_reference_coloring_mis_n10000", |b| {
-        b.iter(|| {
-            let run = coloring_reference.solve_rebuild(&g, &inputs, 7);
-            assert!(run.solved);
-            run.rounds
-        })
-    });
-    group.finish();
 
     // ---- Wall times of both scenarios on both paths, as one JSON record. ----
     let mut session = Session::new();
@@ -118,6 +82,3 @@ fn bench(c: &mut Criterion) {
         Err(e) => eprintln!("  cannot write {path}: {e}"),
     }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

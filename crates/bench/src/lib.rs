@@ -16,8 +16,8 @@
 //!   non-uniform algorithms, the figure-style evidence that the overhead does not grow with
 //!   the instance.
 //!
-//! The Criterion benches under `benches/` wrap these same harness entry points so that
-//! `cargo bench` exercises every table and figure.
+//! The `table1`, `scaling`, `overhead` and `alternation_trace` binaries are the entry
+//! points that regenerate them; the sweep benchmark (`sweepbench/`) does the timing.
 
 use local_engine::{
     pool, workload, CellResult, Instance, Scenario, ScenarioGrid, SweepConfig, WorkloadSpec,

@@ -30,7 +30,7 @@
 use super::network::NetworkBackend;
 use super::process::observations_to_value;
 use super::telemetry::WorkerTelemetry;
-use super::{read_bounded_line, rescue_missing, CellShard, FaultPlan, Raw, MAX_REQUEST_LINE_BYTES};
+use super::{read_bounded_line, rescue_missing, CellShard, FaultPlan, Raw, MAX_LINE_BYTES};
 use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scenario::{Scenario, ScenarioGrid};
@@ -462,7 +462,7 @@ fn client_session(stream: TcpStream, state: &ServerState) {
     let mut reader = reader;
     let mut last_client = None;
     loop {
-        let served = match read_bounded_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+        let served = match read_bounded_line(&mut reader, MAX_LINE_BYTES, "request") {
             Ok(None) => break,
             Ok(Some(line)) => serve_job(line.trim(), &peer_name, &writer, state, &mut last_client),
             Err(e) => Err(e.to_string()),

@@ -179,7 +179,7 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
         summary: "sweep --worker subprocesses over the stdin/stdout shard protocol; a \
                   failed worker's cells are re-dispatched to a healthy worker, then rescued \
                   in-process",
-        flags: "--workers, --threads, --faults",
+        flags: "--workers, --threads, --io-deadline-ms, --faults",
     },
     BackendEntry {
         name: "network",
@@ -191,7 +191,7 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
         name: "coordinator",
         summary: "submits the sweep to a `sweep --coordinate` service that schedules many \
                   clients fairly over a shared daemon fleet (same verify/rescue discipline)",
-        flags: "--submit, --client, --io-deadline-ms, --faults",
+        flags: "--submit, --client, --threads, --io-deadline-ms, --faults",
     },
 ];
 
@@ -214,19 +214,24 @@ impl Serialize for Raw {
     }
 }
 
-/// The longest request line a daemon or coordinator reads from a client before refusing
-/// it. Requests carry whole shards; the largest routinely shipped is the
-/// `many-cells` benchmark job (33,792 cells) submitted to a coordinator as one line:
-/// 2,298,164 bytes, about 68 per cell. The cap leaves 29× headroom over it while bounding
-/// what one peer can make a server buffer.
-pub(super) const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+/// The longest line either end of the shard protocol reads before giving up on its peer:
+/// a daemon or coordinator refuses a longer request, and a client abandons a worker or
+/// daemon that sends a longer response. Requests carry whole shards; the largest routinely
+/// shipped is the `many-cells` benchmark job (33,792 cells) submitted to a coordinator as
+/// one line: 2,298,164 bytes, about 68 per cell. The longest response is the span dump of
+/// a traced stripe; a traced full-catalog sweep (sizes 40 and 64) over two worker
+/// processes sends one of 6,651,336 bytes. The cap leaves 29× and 10× headroom over them
+/// while bounding what one peer can make the other buffer.
+pub(super) const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Reads one `\n`-terminated line through [`Read::take`], so it consumes at most `cap + 1`
-/// bytes: `Ok(None)` at a clean EOF, an `InvalidData` error when `cap + 1` bytes pass
-/// without a newline (or the line is not UTF-8). The newline itself is stripped.
+/// bytes: `Ok(None)` at a clean EOF, an `InvalidData` error (`{what} line exceeds {cap}
+/// bytes`) when `cap + 1` bytes pass without a newline, or when the line is not UTF-8.
+/// The newline itself is stripped.
 pub(super) fn read_bounded_line(
     reader: &mut impl BufRead,
     cap: usize,
+    what: &str,
 ) -> std::io::Result<Option<String>> {
     let mut bytes = Vec::new();
     let read = reader.by_ref().take(cap as u64 + 1).read_until(b'\n', &mut bytes)?;
@@ -236,7 +241,7 @@ pub(super) fn read_bounded_line(
     if bytes.last() == Some(&b'\n') {
         bytes.pop();
     } else if read > cap {
-        let message = format!("request line exceeds {cap} bytes");
+        let message = format!("{what} line exceeds {cap} bytes");
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, message));
     }
     String::from_utf8(bytes)
@@ -372,15 +377,21 @@ mod tests {
     #[test]
     fn bounded_lines_consume_at_most_cap_plus_one_bytes_then_error() {
         let mut input: &[u8] = b"short\nexactly8\n0123456789abcdef";
-        assert_eq!(read_bounded_line(&mut input, 8).unwrap().as_deref(), Some("short"));
-        assert_eq!(read_bounded_line(&mut input, 8).unwrap().as_deref(), Some("exactly8"));
-        let err = read_bounded_line(&mut input, 8).unwrap_err();
+        assert_eq!(read_bounded_line(&mut input, 8, "request").unwrap().as_deref(), Some("short"));
+        assert_eq!(
+            read_bounded_line(&mut input, 8, "request").unwrap().as_deref(),
+            Some("exactly8")
+        );
+        let err = read_bounded_line(&mut input, 8, "request").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "request line exceeds 8 bytes");
         assert_eq!(input, b"9abcdef", "exactly cap + 1 bytes were consumed");
         let mut tail: &[u8] = b"no newline";
-        assert_eq!(read_bounded_line(&mut tail, 64).unwrap().as_deref(), Some("no newline"));
-        assert_eq!(read_bounded_line(&mut tail, 64).unwrap(), None, "clean EOF");
+        assert_eq!(
+            read_bounded_line(&mut tail, 64, "request").unwrap().as_deref(),
+            Some("no newline")
+        );
+        assert_eq!(read_bounded_line(&mut tail, 64, "request").unwrap(), None, "clean EOF");
     }
 
     #[test]

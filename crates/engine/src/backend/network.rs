@@ -14,10 +14,10 @@ use super::faults::FaultInjector;
 use super::process::serve_shard;
 use super::remote::{Dispatch, Remote, Transport};
 use super::telemetry::WorkerTelemetry;
-use super::{backoff_ms, read_bounded_line, CellShard, Raw, MAX_REQUEST_LINE_BYTES};
+use super::{backoff_ms, read_bounded_line, CellShard, Raw, MAX_LINE_BYTES};
 use local_coord::ConcurrencyGate;
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,21 +199,15 @@ impl Transport for Tcp {
     }
 
     fn next_line(&self, link: &mut TcpLink) -> Result<Option<String>, String> {
-        let mut line = String::new();
-        match link.reader.read_line(&mut line) {
-            Ok(0) => Ok(None),
-            Ok(_) => Ok(Some(line.trim_end_matches(['\n', '\r']).to_string())),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(format!(
+        read_bounded_line(&mut link.reader, MAX_LINE_BYTES, "response").map_err(|e| {
+            match e.kind() {
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => format!(
                     "liveness deadline exceeded ({}ms without a line — dead peer?)",
                     link.window.as_millis()
-                ))
+                ),
+                _ => format!("stream read error: {e}"),
             }
-            Err(e) => Err(format!("stream read error: {e}")),
-        }
+        })
     }
 
     fn close(&self, slot: usize, _: TcpLink, failure: Option<String>) -> Option<String> {
@@ -297,7 +291,7 @@ fn serve_connection(
     };
     let mut writer = stream;
     loop {
-        let served = match read_bounded_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
+        let served = match read_bounded_line(&mut reader, MAX_LINE_BYTES, "request") {
             Ok(None) => return,
             Ok(Some(line)) => serve_request(line.trim(), threads, faults, gate, &mut writer),
             Err(e) => Err(e.to_string()),

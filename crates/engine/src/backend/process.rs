@@ -6,7 +6,7 @@
 use super::faults::{FaultInjector, LineFault};
 use super::remote::{Dispatch, Remote, Transport};
 use super::telemetry::SpanDump;
-use super::{CellShard, ExecBackend, InProcessBackend, Raw};
+use super::{read_bounded_line, CellShard, ExecBackend, InProcessBackend, Raw, MAX_LINE_BYTES};
 use crate::pool;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
@@ -195,8 +195,12 @@ impl Transport for Spawn {
         // liveness deadline with `recv_timeout` (pipes have no native read timeout).
         let (line_tx, lines) = mpsc::channel::<std::io::Result<String>>();
         let reader = std::thread::spawn(move || {
-            for line in BufReader::new(child_stdout).lines() {
-                if line_tx.send(line).is_err() {
+            let mut stdout = BufReader::new(child_stdout);
+            while let Some(line) =
+                read_bounded_line(&mut stdout, MAX_LINE_BYTES, "response").transpose()
+            {
+                let failed = line.is_err();
+                if line_tx.send(line).is_err() || failed {
                     break;
                 }
             }

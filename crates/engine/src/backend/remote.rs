@@ -37,8 +37,8 @@
 //! replicate *and* the derived execution seed) before it is accepted ([`super::stream`]).
 //! A link that stays silent past the [`super::liveness_window`] (heartbeats shrink it from
 //! the I/O deadline to a few heartbeat intervals), ends before its sentinel, repeats an
-//! index, emits anything unparseable, under-emits behind a confident sentinel, or whose
-//! worker exits nonzero is abandoned on the spot. Its verified cells stand — together
+//! index, emits anything unparseable or a line past the 64 MiB line cap, under-emits
+//! behind a confident sentinel, or whose worker exits nonzero is abandoned on the spot. Its verified cells stand — together
 //! with the calibration observed from their lines — and the unverified remainder goes,
 //! after the concurrent pass, to a slot whose own stripe succeeded
 //! ([`local_obs::metrics::REDISPATCHED_CELLS`]; for processes that is a fresh child).

@@ -35,8 +35,7 @@
 //! * `--folded F`  write the sweep's phase times as folded stacks (flamegraph format) to `F`.
 //! * `--store D`   the incremental result store's directory (default `target/sweep-store`):
 //!   CRC-checked append-only segment files; a re-sweep executes only cells whose inputs
-//!   changed. `--no-cache` disables it; of the two flags, the last one given wins. `sweep
-//!   store bench` measures the store on a synthetic grid.
+//!   changed. `--no-cache` disables it; of the two flags, the last one given wins.
 //! * `--stream`    stream cells to the result store instead of holding them in memory
 //!   (large grids); per-cell CSV is then produced by reading the store back. Requires the
 //!   store.
@@ -59,8 +58,8 @@ use local_engine::backend::{
     InProcessBackend, NetworkBackend, ProcessBackend,
 };
 use local_engine::{
-    default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
-    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, WorkloadSpec,
+    default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CostModel,
+    ProgressMeter, ResultStore, ScenarioGrid, Sweep, WorkloadSpec,
 };
 use local_graphs::{builtin_families, parse_family, FamilySpec};
 use std::io::Read;
@@ -122,6 +121,21 @@ where
         Some(text) => text.parse().map(Some).map_err(|e| format!("bad {flag}: {e}")),
         None => Ok(None),
     }
+}
+
+/// Rejects anything a mode dispatched before [`parse_args`] does not take. `accepted` is
+/// the mode's whole flag list; each flag in it takes one value, except `--worker`.
+fn check_mode_flags(raw: &[String], accepted: &[&str]) -> Result<(), String> {
+    let mut it = raw.iter();
+    while let Some(flag) = it.next() {
+        if !accepted.contains(&flag.as_str()) {
+            return Err(format!("unknown flag: {flag} (try --help)"));
+        }
+        if flag != "--worker" && it.next().is_none() {
+            return Err(format!("missing value for {flag}"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -285,8 +299,6 @@ USAGE:
   sweep --coordinate ADDR --connect HOST:PORT,… [--threads N] [--io-deadline-ms MS]
         [--stripes-per-peer N] [--faults SCRIPT] [--store DIR]
                                             run a multi-client coordinator over a fleet
-  sweep store bench [--cells N] [--dir DIR] [--json PATH]
-                                            benchmark the store on a synthetic grid
 
   --list       print every registered workload, family, and execution backend (with the
                flags that configure it) straight from the registries, then exit.
@@ -378,6 +390,7 @@ fn mode_exit(mode: &str, result: Result<(), String>) -> ExitCode {
 /// failure and absorbs in-process. Stream faults scripted into this process's
 /// `LOCAL_FAULTS` (the parent forwards per-worker clauses) are executed here.
 fn worker_main(raw: &[String]) -> Result<(), String> {
+    check_mode_flags(raw, &["--worker", "--threads", "--telemetry"])?;
     let threads = raw_flag(raw, "--threads")?.unwrap_or(1);
     let telemetry_ms = raw_flag(raw, "--telemetry")?;
     let mut input = String::new();
@@ -391,6 +404,7 @@ fn worker_main(raw: &[String]) -> Result<(), String> {
 /// The `--serve` mode: a persistent worker daemon on a TCP address, the receiving end of
 /// `--backend network`. Runs until killed.
 fn serve_main(raw: &[String], addr: &str) -> Result<(), String> {
+    check_mode_flags(raw, &["--serve", "--threads", "--max-concurrent-shards"])?;
     let threads = raw_flag(raw, "--threads")?.unwrap_or(0);
     let max_concurrent = raw_flag(raw, "--max-concurrent-shards")?.unwrap_or(0);
     serve_forever(addr, threads, max_concurrent)
@@ -399,6 +413,18 @@ fn serve_main(raw: &[String], addr: &str) -> Result<(), String> {
 /// The `--coordinate` mode: a multi-client scheduling service over a `--connect` daemon
 /// fleet. Runs until killed.
 fn coordinate_main(raw: &[String], addr: &str) -> Result<(), String> {
+    check_mode_flags(
+        raw,
+        &[
+            "--coordinate",
+            "--connect",
+            "--threads",
+            "--io-deadline-ms",
+            "--stripes-per-peer",
+            "--faults",
+            "--store",
+        ],
+    )?;
     let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
     let mut config = CoordinatorConfig {
         fleet: get("--connect")
@@ -435,153 +461,6 @@ fn coordinate_main(raw: &[String], addr: &str) -> Result<(), String> {
         );
     }
     coordinate_forever(addr, config)
-}
-
-/// A deterministic synthetic result for `sweep store bench` — realistic field shapes
-/// without running any algorithm.
-fn synthetic_result(cell: &Scenario, seed: u64) -> CellResult {
-    let r = cell.replicate;
-    let uniform_rounds = 40 + r % 17;
-    let nonuniform_rounds = 20 + r % 7;
-    CellResult {
-        problem: cell.problem.name().to_string(),
-        family: cell.family.name().to_string(),
-        requested_n: cell.n,
-        n: cell.n,
-        edges: cell.n * 3,
-        replicate: r,
-        seed,
-        uniform_rounds,
-        uniform_messages: uniform_rounds * cell.n as u64,
-        nonuniform_rounds,
-        nonuniform_messages: nonuniform_rounds * cell.n as u64,
-        overhead_ratio: uniform_rounds as f64 / nonuniform_rounds.max(1) as f64,
-        subiterations: 3,
-        solved: true,
-        valid: true,
-        wall_micros: 100 + r % 900,
-        attempt_micros: 80 + r % 700,
-        prune_micros: 10 + r % 90,
-        instance_micros: 5,
-    }
-}
-
-/// `sweep store bench [--cells N] [--dir DIR] [--json PATH]`: measures binary-store
-/// append / reopen / columnar-scan / row-scan throughput on a synthetic grid, and
-/// optionally writes the numbers as a JSON benchmark artifact.
-fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String> {
-    use std::time::Instant;
-    let store_dir = std::path::Path::new(dir).join("bench-store");
-    let _ = std::fs::remove_dir_all(&store_dir);
-    // One synthetic grid: replicate is the only varying axis, so cell identities (and
-    // store keys) are unique while staying cheap to generate at 10^5+ scale.
-    let scenarios: Vec<Scenario> = (0..cells)
-        .map(|r| Scenario {
-            problem: parse_workload("mis").expect("mis is registered"),
-            family: parse_family("sparse-gnp").expect("sparse-gnp is registered"),
-            n: 64,
-            replicate: r as u64,
-        })
-        .collect();
-    let results: Vec<CellResult> =
-        scenarios.iter().map(|cell| synthetic_result(cell, cell.cell_seed(0))).collect();
-
-    let timed = |label: &str, f: &mut dyn FnMut() -> Result<(), String>| -> Result<f64, String> {
-        let started = Instant::now();
-        f()?;
-        let secs = started.elapsed().as_secs_f64().max(1e-9);
-        println!(
-            "store bench: {label:<22} {:>10.3} s  ({:>12.0} cells/s)",
-            secs,
-            cells as f64 / secs
-        );
-        Ok(secs)
-    };
-
-    let store =
-        BinaryStore::open(&store_dir).map_err(|e| format!("cannot open bench store: {e}"))?;
-    let bin_append = timed("store append", &mut || {
-        for (cell, result) in scenarios.iter().zip(&results) {
-            ResultStore::store(&store, cell, 0, result)
-                .map_err(|e| format!("store append failed: {e}"))?;
-        }
-        Ok(())
-    })?;
-    let segments = store.stats().segments;
-    drop(store);
-    let mut reopened = None;
-    let bin_open = timed("store reopen (index)", &mut || {
-        reopened = Some(
-            BinaryStore::open(&store_dir).map_err(|e| format!("cannot reopen bench store: {e}"))?,
-        );
-        Ok(())
-    })?;
-    let store = reopened.expect("reopen populated the store");
-    let bin_columns = timed("store columnar scan", &mut || {
-        for cell in &scenarios {
-            store.load_columns(cell, 0).ok_or("columnar scan missed a written cell")?;
-        }
-        Ok(())
-    })?;
-    let bin_rows = timed("store row scan", &mut || {
-        for cell in &scenarios {
-            ResultStore::load(&store, cell, 0).ok_or("row scan missed a written cell")?;
-        }
-        Ok(())
-    })?;
-
-    println!(
-        "store bench: {cells} cells in {segments} segments; index rebuild {} us",
-        store.stats().index_rebuild_micros
-    );
-    if let Some(path) = json {
-        let artifact = format!(
-            "{{\n  \"cells\": {cells},\n  \"segments\": {segments},\n  \
-             \"store_append_cells_per_s\": {:.0},\n  \"store_reopen_s\": {bin_open:.6},\n  \
-             \"store_columnar_scan_cells_per_s\": {:.0},\n  \
-             \"store_row_scan_cells_per_s\": {:.0}\n}}\n",
-            cells as f64 / bin_append,
-            cells as f64 / bin_columns,
-            cells as f64 / bin_rows,
-        );
-        std::fs::write(path, artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote benchmark JSON to {path}");
-    }
-    let _ = std::fs::remove_dir_all(&store_dir);
-    Ok(())
-}
-
-/// The `sweep store …` subcommand family: `bench` measures the store on a synthetic grid.
-fn store_main(raw: &[String]) -> ExitCode {
-    let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
-    let outcome = match raw.first().map(String::as_str) {
-        Some("bench") => {
-            let cells = match get("--cells").map(|v| v.parse::<usize>()) {
-                Some(Ok(cells)) => cells.max(1),
-                Some(Err(e)) => {
-                    eprintln!("sweep store bench: bad --cells: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => 10_000,
-            };
-            let dir = get("--dir").map(String::as_str).unwrap_or("target/store-bench");
-            store_bench(cells, dir, get("--json").map(String::as_str))
-        }
-        _ => {
-            eprintln!(
-                "sweep store: expected a subcommand — bench [--cells N] [--dir DIR] \
-                 [--json PATH]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep store: {message}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `--dry-run`: predict, order, print — execute nothing. The printed plan mirrors a real
@@ -630,15 +509,9 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
 fn main() -> ExitCode {
     // The worker, serve, and coordinate modes are not regular flags: they must not drag
     // the full sweep arg surface into the protocol, so they are dispatched before normal
-    // parsing. A worker honours only `--threads N` and `--telemetry MS` (the parent's
-    // heartbeat request); a daemon honours `--serve ADDR`, `--threads N`, and
-    // `--max-concurrent-shards N` (telemetry is per-request); a coordinator honours
-    // `--coordinate ADDR`, `--connect`, `--threads`, `--io-deadline-ms`,
-    // `--stripes-per-peer`, and `--faults`.
+    // parsing. Each takes only its own short flag list (telemetry is per-request for a
+    // daemon, a `--telemetry MS` flag for a worker) and rejects everything else.
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("store") {
-        return store_main(&raw[1..]);
-    }
     if raw.iter().any(|a| a == "--worker") {
         return mode_exit("--worker", worker_main(&raw));
     }

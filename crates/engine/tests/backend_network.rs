@@ -10,8 +10,10 @@
 //! * every degradation increments the observable resilience counters;
 //! * a request line past the daemon's cap, or nested past the JSON parser's depth limit, is
 //!   refused with one error line, and the daemon keeps serving everyone else;
-//! * a daemon, coordinator or worker given a numeric flag it cannot parse exits non-zero
-//!   with a `bad --flag` message instead of silently running on the default.
+//! * a response line past the client's cap fails the stripe, which is re-dispatched;
+//! * a daemon, coordinator or worker given a numeric flag it cannot parse, or a flag it
+//!   does not take, exits non-zero with a `bad --flag` or `unknown flag` message instead of
+//!   silently running on the default.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
@@ -337,8 +339,56 @@ fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn an_overlong_response_line_fails_the_stripe_and_the_report_stays_identical() {
+    let _guard = SERIAL.lock().unwrap();
+    local_obs::enable();
+    let grid = demo_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    // The client's 64 MiB response-line cap.
+    const CAP: usize = 64 << 20;
+    // A fake peer that answers its one request with cap + 1 bytes and no newline, then
+    // trickles more of the same line for 90 s or until the client hangs up: a reader
+    // without a cap buffers on and never reaches its liveness deadline.
+    let hostile = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+    let hostile_addr = hostile.local_addr().unwrap().to_string();
+    let live = Daemon::spawn(None);
+    let (_, redispatched_before, rescued_before, _) = counters();
+    let started = std::time::Instant::now();
+    let candidate = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (stream, _) = hostile.accept().expect("the client connects");
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).expect("the client sends a request");
+            let mut writer = &stream;
+            for chunk in vec![b'x'; CAP + 1].chunks(1 << 20) {
+                if writer.write_all(chunk).is_err() {
+                    return;
+                }
+            }
+            for _ in 0..900 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                if writer.write_all(b"x").is_err() {
+                    return;
+                }
+            }
+        });
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![hostile_addr, live.addr.clone()])).run()
+    });
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(60),
+        "the client waited on the overlong line instead of failing it at the cap"
+    );
+    let (_, redispatched, rescued, _) = counters();
+    assert!(
+        redispatched + rescued > redispatched_before + rescued_before,
+        "the hostile peer's stripe must be re-dispatched or rescued"
+    );
+    assert_reports_identical(&reference, &candidate, "overlong response line");
+}
+
+#[test]
 fn unparseable_numbers_on_daemon_coordinator_and_worker_flags_exit_with_bad_flag() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--serve", "127.0.0.1:0", "--threads", "two"], "bad --threads"),
         (
             &["--serve", "127.0.0.1:0", "--max-concurrent-shards", "x"],
@@ -347,6 +397,11 @@ fn unparseable_numbers_on_daemon_coordinator_and_worker_flags_exit_with_bad_flag
         (&["--coordinate", "127.0.0.1:0", "--io-deadline-ms", "x"], "bad --io-deadline-ms"),
         (&["--coordinate", "127.0.0.1:0", "--stripes-per-peer", "x"], "bad --stripes-per-peer"),
         (&["--worker", "--threads", "two"], "bad --threads"),
+        // Flags a mode does not take, misspelt or borrowed from another mode.
+        (&["--serve", "127.0.0.1:0", "--thread", "4", "--bogus"], "unknown flag: --thread"),
+        (&["--coordinate", "127.0.0.1:0", "--conect", "1.2.3.4:5"], "unknown flag: --conect"),
+        (&["--worker", "--threads", "1", "--connect", "x"], "unknown flag: --connect"),
+        (&["--serve", "127.0.0.1:0", "--threads"], "missing value for --threads"),
     ];
     for (args, expected) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))

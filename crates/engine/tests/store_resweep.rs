@@ -3,14 +3,15 @@
 //! appends nothing; store-backed reports (cold and warm) are byte-identical
 //! (deterministic view) to a store-less sweep's; a streamed re-sweep summarizes through
 //! the columnar path without materializing a single `CellResult` row; and the process
-//! backend writes through the store like the in-process pool does. The store's
+//! backend writes through the store like the in-process pool does; and 10⁵ cells land in
+//! at most ten segments at the default segment size, every one reloadable. The store's
 //! cache behaviours (changed axes, code-version bumps, streaming) are in
 //! `cache_resweep.rs`.
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    report_from_store, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid, Sweep,
-    SweepConfig,
+    report_from_store, run_grid, workload, BinaryStore, CellResult, ResultStore, Scenario,
+    ScenarioGrid, Sweep, SweepConfig,
 };
 use local_graphs::{family, Family};
 use std::path::{Path, PathBuf};
@@ -145,5 +146,63 @@ fn the_process_backend_writes_through_the_store() {
     );
     assert_eq!(second.cache_hits, second.cell_count);
     assert_eq!(first.to_csv_with(true), second.to_csv_with(true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A result of realistic field shapes for `cell`, without running any algorithm.
+fn synthetic_result(cell: &Scenario, seed: u64) -> CellResult {
+    let r = cell.replicate;
+    let uniform_rounds = 40 + r % 17;
+    let nonuniform_rounds = 20 + r % 7;
+    CellResult {
+        problem: cell.problem.name().to_string(),
+        family: cell.family.name().to_string(),
+        requested_n: cell.n,
+        n: cell.n,
+        edges: cell.n * 3,
+        replicate: r,
+        seed,
+        uniform_rounds,
+        uniform_messages: uniform_rounds * cell.n as u64,
+        nonuniform_rounds,
+        nonuniform_messages: nonuniform_rounds * cell.n as u64,
+        overhead_ratio: uniform_rounds as f64 / nonuniform_rounds.max(1) as f64,
+        subiterations: 3,
+        solved: true,
+        valid: true,
+        wall_micros: 100 + r % 900,
+        attempt_micros: 80 + r % 700,
+        prune_micros: 10 + r % 90,
+        instance_micros: 5,
+    }
+}
+
+#[test]
+fn a_hundred_thousand_cells_land_in_at_most_ten_segments_and_all_reload() {
+    const CELLS: u64 = 100_000;
+    let dir = temp_dir("segments");
+    // Replicate is the only varying axis, so every cell has its own store key.
+    let cells: Vec<Scenario> = (0..CELLS)
+        .map(|replicate| Scenario {
+            problem: workload("mis"),
+            family: Family::SparseGnp.into(),
+            n: 64,
+            replicate,
+        })
+        .collect();
+    let store = BinaryStore::open(&dir).expect("store opens");
+    for cell in &cells {
+        store.store(cell, 0, &synthetic_result(cell, cell.cell_seed(0))).expect("append");
+    }
+    let segments = store.stats().segments;
+    assert!(segments <= 10, "{CELLS} cells took {segments} segments");
+    drop(store);
+
+    let reopened = BinaryStore::open(&dir).expect("store reopens");
+    assert_eq!(reopened.stats().segments, segments);
+    for cell in &cells {
+        let loaded = reopened.load(cell, 0);
+        assert_eq!(loaded, Some(synthetic_result(cell, cell.cell_seed(0))), "{}", cell.label());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
