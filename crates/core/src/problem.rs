@@ -124,36 +124,94 @@ pub type SlcColor = (u64, u64);
 
 /// Input of the strong list colouring (SLC) problem at one node: the common degree bound `Δ̂`
 /// and the node's list of allowed colours.
+///
+/// A list starts as the full grid `[1, g] × [1, Δ̂ + 1]` and the SLC pruning only ever removes
+/// the colours of pruned neighbours, so a node loses at most `deg(v)` entries. The list is
+/// therefore stored as its complement in the grid: the grid's shape and the sorted removed
+/// colours. Building a full list costs O(1) and a list never holds more than `deg(v)`
+/// entries, however large the grid `g(Δ̂)·(Δ̂ + 1)` is. The SLC invariant requires at least
+/// `deg(v) + 1` copies of every base colour `k ∈ [1, g(Δ̂)]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlcInput {
     /// The common upper bound `Δ̂ ≥ Δ(G)` contained in every node's input.
     pub delta_hat: u64,
-    /// The allowed colours `L(v)`; the SLC invariant requires at least `deg(v) + 1` entries
-    /// for every first coordinate `k ∈ [1, g(Δ̂)]`.
-    pub list: BTreeSet<SlcColor>,
+    /// The number `g` of base colours: the grid's first coordinate ranges over `[1, g]`.
+    num_base_colors: u64,
+    /// The grid colours no longer in the list, sorted and distinct.
+    removed: Vec<SlcColor>,
 }
 
 impl SlcInput {
     /// The full list `[1, num_base_colors] × [1, Δ̂ + 1]` (the layer-initial configuration of
     /// the Theorem 5 proof).
     pub fn full(delta_hat: u64, num_base_colors: u64) -> Self {
-        let mut list = BTreeSet::new();
-        for k in 1..=num_base_colors.max(1) {
-            for j in 1..=delta_hat + 1 {
-                list.insert((k, j));
+        SlcInput { delta_hat, num_base_colors: num_base_colors.max(1), removed: Vec::new() }
+    }
+
+    fn is_base(&self, k: u64) -> bool {
+        (1..=self.num_base_colors).contains(&k)
+    }
+
+    fn in_grid(&self, (k, j): SlcColor) -> bool {
+        self.is_base(k) && (1..=self.delta_hat + 1).contains(&j)
+    }
+
+    /// The removed colours whose base colour is `k`, in order of their copy index.
+    fn removed_of(&self, k: u64) -> &[SlcColor] {
+        let start = self.removed.partition_point(|&(kk, _)| kk < k);
+        let end = self.removed.partition_point(|&(kk, _)| kk <= k);
+        &self.removed[start..end]
+    }
+
+    /// Whether `color` is in the list.
+    pub fn contains(&self, color: SlcColor) -> bool {
+        self.in_grid(color) && self.removed.binary_search(&color).is_err()
+    }
+
+    /// Removes `color` from the list; a colour outside the list is ignored.
+    pub fn remove(&mut self, color: SlcColor) {
+        if self.in_grid(color) {
+            if let Err(at) = self.removed.binary_search(&color) {
+                self.removed.insert(at, color);
             }
         }
-        SlcInput { delta_hat, list }
+    }
+
+    /// The smallest copy index `j` with `(k, j)` in the list, if base colour `k` has a copy.
+    pub fn first_copy(&self, k: u64) -> Option<u64> {
+        if !self.is_base(k) {
+            return None;
+        }
+        // The removed copies of `k` are sorted, so the first gap in `1, 2, …` is the answer.
+        let mut j = 1;
+        for &(_, removed_j) in self.removed_of(k) {
+            if removed_j != j {
+                break;
+            }
+            j += 1;
+        }
+        (j <= self.delta_hat + 1).then_some(j)
+    }
+
+    /// The colours of the list in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = SlcColor> + '_ {
+        let copies = self.delta_hat + 1;
+        (1..=self.num_base_colors)
+            .flat_map(move |k| (1..=copies).map(move |j| (k, j)))
+            .filter(|color| self.removed.binary_search(color).is_err())
     }
 
     /// Number of copies of base colour `k` still available.
     pub fn copies_of(&self, k: u64) -> usize {
-        self.list.iter().filter(|&&(kk, _)| kk == k).count()
+        if !self.is_base(k) {
+            return 0;
+        }
+        (self.delta_hat + 1) as usize - self.removed_of(k).len()
     }
 
     /// The distinct base colours present in the list.
     pub fn base_colors(&self) -> BTreeSet<u64> {
-        self.list.iter().map(|&(k, _)| k).collect()
+        (1..=self.num_base_colors).filter(|&k| self.copies_of(k) > 0).collect()
     }
 }
 
@@ -177,7 +235,7 @@ impl Problem for SlcProblem {
         output: &[SlcColor],
     ) -> Result<(), String> {
         for v in 0..graph.node_count() {
-            if !input[v].list.contains(&output[v]) {
+            if !input[v].contains(output[v]) {
                 return Err(format!("node {v} chose a colour outside its list"));
             }
         }

@@ -144,22 +144,15 @@ impl PruningAlgorithm<MisProblem> for RulingSetPruning {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchingPruning;
 
-fn is_matched_pair(view: &GraphView<'_>, partner: &[Option<NodeId>], u: usize, v: usize) -> bool {
-    view.has_edge(u, v) && partner[u] == Some(view.id(v)) && partner[v] == Some(view.id(u))
-}
-
 impl MatchingPruning {
+    /// `matched[u]` iff `u` and the neighbour it names name each other. A partner outside
+    /// `u`'s neighbourhood never counts, so scanning the neighbours suffices.
     fn matched_nodes(view: &GraphView<'_>, tentative: &[Option<NodeId>]) -> Vec<bool> {
-        let n = view.node_count();
-        let mut id_to_index = std::collections::HashMap::new();
-        for v in 0..n {
-            id_to_index.insert(view.id(v), v);
-        }
-        (0..n)
+        (0..view.node_count())
             .map(|u| {
-                tentative[u]
-                    .and_then(|pid| id_to_index.get(&pid).copied())
-                    .is_some_and(|p| is_matched_pair(view, tentative, u, p))
+                tentative[u].is_some_and(|pid| {
+                    view.neighbors(u).any(|v| view.id(v) == pid && tentative[v] == Some(view.id(u)))
+                })
             })
             .collect()
     }
@@ -216,23 +209,19 @@ impl PruningAlgorithm<SlcProblem> for SlcPruning {
         let n = view.node_count();
         let pruned: Vec<bool> = (0..n)
             .map(|u| {
-                input[u].list.contains(&tentative[u])
+                input[u].contains(tentative[u])
                     && view.neighbors(u).all(|v| tentative[v] != tentative[u])
             })
             .collect();
         let new_inputs: Vec<SlcInput> = (0..n)
             .map(|u| {
-                if pruned[u] {
-                    input[u].clone()
-                } else {
-                    let mut list = input[u].list.clone();
-                    for v in view.neighbors(u) {
-                        if pruned[v] {
-                            list.remove(&tentative[v]);
-                        }
+                let mut list = input[u].clone();
+                if !pruned[u] {
+                    for v in view.neighbors(u).filter(|&v| pruned[v]) {
+                        list.remove(tentative[v]);
                     }
-                    SlcInput { delta_hat: input[u].delta_hat, list }
                 }
+                list
             })
             .collect();
         Pruned { pruned, new_inputs }
@@ -468,8 +457,8 @@ mod tests {
         let tentative = [(1, 1), (1, 1), (2, 2)];
         let result = SlcPruning.prune(&view(&g), &inputs, &tentative);
         assert_eq!(result.pruned, vec![false, false, true]);
-        assert!(!result.new_inputs[1].list.contains(&(2, 2)));
-        assert!(result.new_inputs[0].list.contains(&(2, 2)), "node 0 keeps unaffected entries");
+        assert!(!result.new_inputs[1].contains((2, 2)));
+        assert!(result.new_inputs[0].contains((2, 2)), "node 0 keeps unaffected entries");
     }
 
     #[test]
@@ -509,8 +498,7 @@ mod tests {
             let input = &result.new_inputs[back[v]];
             let used: std::collections::BTreeSet<SlcColor> =
                 (0..v).filter(|&u| sub.has_edge(u, v)).map(|u| sub_solution[u]).collect();
-            sub_solution[v] = *input
-                .list
+            sub_solution[v] = input
                 .iter()
                 .find(|c| !used.contains(c))
                 .expect("list large enough by the SLC invariant");

@@ -33,6 +33,7 @@ use local_algos::coloring::RefineColoring;
 use local_graphs::Parameter;
 use local_runtime::{AlgoRun, DynAlgorithm, Graph, GraphAlgorithm, GraphView, Session};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The non-uniform `g(Δ̃)`-colouring black box handed to the Theorem 5 transformer.
 #[derive(Clone)]
@@ -93,14 +94,9 @@ impl SlcFromColoring {
             .zip(inputs)
             .map(|(&c, input)| {
                 let base = (c + 1).min(self.palette.max(1));
-                input
-                    .list
-                    .iter()
-                    .find(|&&(k, _)| k == base)
-                    .copied()
-                    // Empty base-colour bucket can only happen under bad guesses; emit an
-                    // arbitrary (out-of-list) value, which the pruning will reject.
-                    .unwrap_or((base, 0))
+                // Empty base-colour bucket can only happen under bad guesses; emit an
+                // arbitrary (out-of-list) value, which the pruning will reject.
+                (base, input.first_copy(base).unwrap_or(0))
             })
             .collect();
         AlgoRun { outputs, rounds: run.rounds, messages: run.messages, completed: run.completed }
@@ -120,8 +116,8 @@ pub struct ColoringRun {
     pub layers: usize,
     /// `true` when every layer's SLC instance was solved before the safety cap.
     pub solved: bool,
-    /// Wall-clock time spent inside black-box attempts, summed over layers, in microseconds
-    /// (profiling aid; non-deterministic).
+    /// Wall-clock time spent inside black-box attempts and in the phase-2 palette
+    /// compression, summed over layers, in microseconds (profiling aid; non-deterministic).
     pub attempt_micros: u64,
     /// Wall-clock time spent in pruning, summed over layers, in microseconds (profiling aid;
     /// non-deterministic).
@@ -270,8 +266,10 @@ impl ColoringTransformer {
                 initial_palette_guess: phase1_palette,
                 target_colors: delta_hat + 1,
             };
+            let phase2_started = Instant::now();
             let phase2 =
                 refine.execute_view(&layer_view, &phase1_colors, None, seed ^ 0x77, session);
+            attempt_micros += phase2_started.elapsed().as_micros() as u64;
             solved &= phase2.completed;
 
             // ---- Final colours: shift into the layer's private range. ----
